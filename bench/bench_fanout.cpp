@@ -141,21 +141,14 @@ void broadcast(benchmark::State& state) {
     std::uint64_t datagrams = 0;
     std::vector<ParticipantId> ids;
     for (int i = 0; i < participants; ++i) {
-      HostEndpoint ep;
-      ep.kind = HostEndpoint::Kind::kUdp;
-      ep.send_datagram = [&datagrams](BytesView) {
-        ++datagrams;
-        return true;
-      };
-      // View-aware endpoints: the zero-copy batch path is what ships, so the
-      // bench measures it (the send_datagram fallback stays for reference).
-      ep.send_packet = [&datagrams](const PacketView&) {
-        ++datagrams;
-        return true;
-      };
-      ep.send_packet_batch = [&datagrams](std::span<const PacketView> batch) {
+      Transport ep;
+      ep.send_batch = [&datagrams](std::span<const PacketView> batch) {
         datagrams += batch.size();
         return batch.size();
+      };
+      ep.write = [&datagrams](std::span<const BytesView> parts) {
+        ++datagrams;
+        return parts.front().size();
       };
       ids.push_back(host.add_participant(std::move(ep)));
       PictureLossIndication pli;  // UDP joiners request their first frame

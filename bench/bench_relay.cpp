@@ -59,16 +59,9 @@ struct RelayTree {
   relay::RelayNode* root = nullptr;
 };
 
-relay::LegEndpoint viewer_endpoint(Viewer* v) {
-  relay::LegEndpoint ep;
-  ep.kind = relay::LegEndpoint::Kind::kUdp;
-  ep.send_packet = [v](const PacketView& pkt) {
-    ++v->packets;
-    v->bytes += pkt.wire_size();
-    v->last_seq = pkt.sequence();
-    return true;
-  };
-  ep.send_packet_batch = [v](std::span<const PacketView> pkts) {
+Transport viewer_endpoint(Viewer* v) {
+  Transport ep;
+  ep.send_batch = [v](std::span<const PacketView> pkts) {
     for (const PacketView& pkt : pkts) {
       ++v->packets;
       v->bytes += pkt.wire_size();
@@ -76,9 +69,9 @@ relay::LegEndpoint viewer_endpoint(Viewer* v) {
     }
     return pkts.size();
   };
-  ep.send_datagram = [v](BytesView d) {
-    v->bytes += d.size();
-    return true;
+  ep.write = [v](std::span<const BytesView> parts) {
+    v->bytes += parts.front().size();
+    return parts.front().size();
   };
   return ep;
 }
@@ -94,18 +87,14 @@ relay::RelayNode* build_node(EventLoop& loop, RelayTree& tree, int level,
   if (level < depth) {
     for (int c = 0; c < degree; ++c) {
       relay::RelayNode* child = build_node(loop, tree, level + 1, depth, degree);
-      relay::LegEndpoint ep;
-      ep.kind = relay::LegEndpoint::Kind::kUdp;
-      ep.send_packet = [child](const PacketView& v) {
-        child->on_upstream_packet(v);
-        return true;
-      };
-      ep.send_packet_batch = [child](std::span<const PacketView> pkts) {
+      Transport ep;
+      ep.send_batch = [child](std::span<const PacketView> pkts) {
         return child->on_upstream_batch(pkts);
       };
-      ep.send_datagram = [child](BytesView d) {
-        child->on_upstream_datagram(Bytes(d.begin(), d.end()));
-        return true;
+      ep.write = [child](std::span<const BytesView> parts) {
+        child->on_upstream_datagram(
+            Bytes(parts.front().begin(), parts.front().end()));
+        return parts.front().size();
       };
       const relay::LegId leg = node->add_leg(std::move(ep));
       child->set_upstream([node, leg](BytesView p) {
@@ -173,19 +162,14 @@ void relay_scaleout(benchmark::State& state) {
     std::vector<std::unique_ptr<Viewer>> direct_viewers;
     if (relay_arm) {
       tree.root = build_node(loop, tree, 1, depth, degree);
-      HostEndpoint ep;
-      ep.kind = HostEndpoint::Kind::kUdp;
-      ep.send_packet = [&staged_views](const PacketView& v) {
-        staged_views.push_back(v);
-        return true;
-      };
-      ep.send_packet_batch = [&staged_views](std::span<const PacketView> pkts) {
+      Transport ep;
+      ep.send_batch = [&staged_views](std::span<const PacketView> pkts) {
         staged_views.insert(staged_views.end(), pkts.begin(), pkts.end());
         return pkts.size();
       };
-      ep.send_datagram = [&staged_ctrl](BytesView d) {
-        staged_ctrl.emplace_back(d.begin(), d.end());
-        return true;
+      ep.write = [&staged_ctrl](std::span<const BytesView> parts) {
+        staged_ctrl.emplace_back(parts.front().begin(), parts.front().end());
+        return parts.front().size();
       };
       const ParticipantId root_id = host.add_participant(std::move(ep));
       tree.root->set_upstream([&host, root_id](BytesView p) {
@@ -196,13 +180,7 @@ void relay_scaleout(benchmark::State& state) {
       for (int i = 0; i < total_viewers; ++i) {
         direct_viewers.push_back(std::make_unique<Viewer>());
         Viewer* v = direct_viewers.back().get();
-        relay::LegEndpoint leg_ep = viewer_endpoint(v);
-        HostEndpoint ep;
-        ep.kind = HostEndpoint::Kind::kUdp;
-        ep.send_packet = std::move(leg_ep.send_packet);
-        ep.send_packet_batch = std::move(leg_ep.send_packet_batch);
-        ep.send_datagram = std::move(leg_ep.send_datagram);
-        v->id = host.add_participant(std::move(ep));
+        v->id = host.add_participant(viewer_endpoint(v));
       }
     }
 

@@ -208,9 +208,8 @@ void cohort(benchmark::State& state) {
         w, std::make_unique<SlideshowApp>(320, 240, 3, 1'000'000));
     std::vector<ParticipantId> ids;
     for (int i = 0; i < 5; ++i) {
-      HostEndpoint ep;
-      ep.kind = HostEndpoint::Kind::kUdp;
-      ep.send_datagram = [](BytesView) { return true; };
+      Transport ep;
+      ep.send_batch = [](std::span<const PacketView> pkts) { return pkts.size(); };
       ids.push_back(host.add_participant(std::move(ep)));
     }
     host.set_participant_geometry(ids[2], {1, {}, false});

@@ -16,6 +16,8 @@ import sys
 from pathlib import Path
 
 CHECKED_DIRS = ["src/core", "src/net", "src/relay", "src/snapshot", "src/transcode"]
+# Single headers checked outside those directories.
+CHECKED_FILES = ["src/rtp/egress.hpp"]
 
 TYPE_RE = re.compile(r"^(template\s*<[^>]*>\s*)?(struct|class|enum(\s+class)?)\s+(\w+)")
 # A function-ish member: optionally-qualified return type, name, open paren.
@@ -89,6 +91,7 @@ def main() -> int:
     headers = []
     for d in CHECKED_DIRS:
         headers.extend(sorted((repo / d).glob("*.hpp")))
+    headers.extend(repo / f for f in CHECKED_FILES)
     all_errors = []
     for h in headers:
         all_errors.extend(check_header(h, repo))

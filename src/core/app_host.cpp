@@ -98,8 +98,9 @@ AppHostOptions AppHost::validated(AppHostOptions opts) {
   if (opts.screen_width <= 0 || opts.screen_height <= 0) {
     throw std::invalid_argument("AppHostOptions: screen dimensions must be > 0");
   }
-  if (opts.mtu_payload == 0) {
-    throw std::invalid_argument("AppHostOptions: mtu_payload must be > 0");
+  if (opts.mtu_payload == 0 || opts.mtu_payload > kMaxMtuPayload) {
+    throw std::invalid_argument(
+        "AppHostOptions: mtu_payload must be in [1, kMaxMtuPayload]");
   }
   // Clamp merely-nonsensical combinations to the nearest workable value.
   if (opts.damage_tile <= 0) opts.damage_tile = 32;
@@ -299,12 +300,12 @@ void AppHost::publish_metrics() {
   m.counter("transcode.bytes_viewport").set(stats_.bytes_sent_viewport);
 }
 
-ParticipantId AppHost::add_participant(HostEndpoint endpoint,
+ParticipantId AppHost::add_participant(Transport transport,
                                        ParticipantId reuse_id) {
   const bool reuse =
       reuse_id != 0 && participants_.find(reuse_id) == participants_.end();
   const ParticipantId id = reuse ? reuse_id : next_participant_id_++;
-  const bool udp = endpoint.kind == HostEndpoint::Kind::kUdp;
+  const bool udp = transport.kind == Transport::Kind::kUdp;
   // With adaptation on, the controller's initial budget seeds the bucket;
   // the static udp_rate_bps only applies to the non-adaptive path.
   const std::uint64_t rate_bps =
@@ -312,11 +313,10 @@ ParticipantId AppHost::add_participant(HostEndpoint endpoint,
            : (opts_.adaptation.enabled ? opts_.adaptation.initial_rate_bps
                                        : opts_.udp_rate_bps);
   auto [it, inserted] = participants_.try_emplace(
-      id, kRemotingPayloadType, opts_.seed, opts_.retransmission_cache,
-      rate_bps, opts_.udp_burst_bytes,
-      udp ? rate::Transport::kUdp : rate::Transport::kTcp, opts_.adaptation);
-  it->second.endpoint = std::move(endpoint);
-  if (it->second.endpoint.kind == HostEndpoint::Kind::kTcp) {
+      id, std::move(transport), &stats_.payload_bytes_copied,
+      kRemotingPayloadType, opts_.seed, opts_.retransmission_cache, rate_bps,
+      opts_.udp_burst_bytes, opts_.adaptation);
+  if (!udp) {
     // §4.4: "The AH prepares and transmits the windows' state information
     // and image of the whole shared region to the new participant, right
     // after the TCP connection establishment."
@@ -510,6 +510,7 @@ std::vector<Rect> AppHost::geometry_bands(
 }
 
 void AppHost::transmit_view(ParticipantState& p, const PacketView& v, SimTime now) {
+  if (p.egress.send(v) == 0) return;
   ++stats_.rtp_packets_sent;
   ++stats_.packets_built;
   stats_.bytes_sent += v.wire_size();
@@ -525,82 +526,10 @@ void AppHost::transmit_view(ParticipantState& p, const PacketView& v, SimTime no
       stats_.bytes_sent_viewport += v.wire_size();
       break;
   }
-
-  if (p.endpoint.kind == HostEndpoint::Kind::kUdp) {
+  if (p.egress.udp()) {
     p.cache.put(v);  // shares the payload buffer: 16 header bytes + a ref
     p.bucket.consume(v.wire_size(), now);
-    if (p.batching) {
-      p.tx_batch.push_back(v);
-      return;
-    }
-    if (p.endpoint.send_packet) {
-      p.endpoint.send_packet(v);
-      return;
-    }
-    if (p.endpoint.send_datagram) {
-      // View-unaware endpoint: materialise here and count the copy.
-      const Bytes wire = v.serialize();
-      stats_.payload_bytes_copied += wire.size();
-      p.endpoint.send_datagram(wire);
-    }
-    return;
   }
-
-  // TCP: RFC 4571 framing; a partial write carries over so frames are never
-  // torn mid-stream.
-  if (v.wire_size() > 0xFFFF) {
-    ADS_LOG(kWarn) << "RTP packet too large for RFC4571 framing: " << v.wire_size();
-    return;
-  }
-  if (p.endpoint.write_gather) {
-    // Gather path: carry + length prefix + RTP header + shared payload go to
-    // the transport as one logical write — the same bytes, in the same
-    // single offer, as the staged fallback below, so segmentation and stats
-    // match byte-for-byte. Only the unaccepted suffix is re-staged.
-    std::array<BytesView, 3> parts;
-    std::size_t n = 0;
-    if (!p.stream_carry.empty()) parts[n++] = BytesView(p.stream_carry);
-    parts[n++] = v.framed_header();
-    parts[n++] = v.payload();
-    const std::span<const BytesView> offer(parts.data(), n);
-    std::size_t wrote = p.endpoint.write_gather(offer);
-    Bytes carry;
-    for (const BytesView& part : offer) {
-      const std::size_t taken = std::min(wrote, part.size());
-      wrote -= taken;
-      if (taken < part.size()) {
-        carry.insert(carry.end(), part.begin() + static_cast<std::ptrdiff_t>(taken),
-                     part.end());
-      }
-    }
-    stats_.payload_bytes_copied += carry.size();  // bytes physically re-staged
-    p.stream_carry = std::move(carry);
-    return;
-  }
-  // Staged fallback for endpoints without a gather callback.
-  const BytesView fh = v.framed_header();
-  const BytesView pl = v.payload();
-  stats_.payload_bytes_copied += v.framed_size();
-  p.stream_carry.insert(p.stream_carry.end(), fh.begin(), fh.end());
-  p.stream_carry.insert(p.stream_carry.end(), pl.begin(), pl.end());
-  if (p.endpoint.write_stream) {
-    const std::size_t wrote = p.endpoint.write_stream(p.stream_carry);
-    p.stream_carry.erase(p.stream_carry.begin(),
-                         p.stream_carry.begin() + static_cast<std::ptrdiff_t>(wrote));
-  }
-}
-
-void AppHost::begin_tx_batch(ParticipantState& p) {
-  p.batching = p.endpoint.kind == HostEndpoint::Kind::kUdp &&
-               p.endpoint.send_packet_batch != nullptr;
-}
-
-void AppHost::flush_tx(ParticipantState& p) {
-  if (!p.batching) return;
-  p.batching = false;
-  if (p.tx_batch.empty()) return;
-  p.endpoint.send_packet_batch(std::span<const PacketView>(p.tx_batch));
-  p.tx_batch.clear();
 }
 
 void AppHost::send_payload(ParticipantState& p, Bytes payload, bool marker,
@@ -707,8 +636,7 @@ std::vector<Rect> AppHost::packetize_regions(
     ParticipantState& p, const std::vector<Rect>& queue,
     const std::function<const BandStream&(std::size_t)>& stream_for) {
   const SimTime now = loop_.now();
-  const bool rate_limited =
-      p.endpoint.kind == HostEndpoint::Kind::kUdp && !p.bucket.unlimited();
+  const bool rate_limited = p.egress.udp() && !p.bucket.unlimited();
   std::vector<Rect> leftover;
   for (std::size_t i = 0; i < queue.size(); ++i) {
     if (rate_limited && p.bucket.available(now) <= 0) {
@@ -795,13 +723,9 @@ bool AppHost::pre_send(ParticipantState& p,
                        const std::vector<MoveRectangle>& scrolls,
                        const std::vector<Rect>& damage, bool& was_current,
                        transcode::OutputGeometry& geom) {
-  // Flush any carried-over TCP bytes first.
-  if (p.endpoint.kind == HostEndpoint::Kind::kTcp && !p.stream_carry.empty() &&
-      p.endpoint.write_stream) {
-    const std::size_t wrote = p.endpoint.write_stream(p.stream_carry);
-    p.stream_carry.erase(p.stream_carry.begin(),
-                         p.stream_carry.begin() + static_cast<std::ptrdiff_t>(wrote));
-  }
+  // Offer carried-over TCP bytes first, so the gates below see the
+  // backlog the link really has.
+  p.egress.drain();
 
   // Resolve this tick's output geometry (follow mode re-anchors to the
   // topmost shared window). A moved source rect queues the newly-streamed
@@ -837,13 +761,11 @@ bool AppHost::pre_send(ParticipantState& p,
   // With adaptation disabled update() is a no-op returning the static
   // operating point.
   if (opts_.adaptation.enabled) {
-    if (p.endpoint.kind == HostEndpoint::Kind::kTcp) {
-      const std::size_t backlog =
-          (p.endpoint.backlog ? p.endpoint.backlog() : 0) + p.stream_carry.size();
-      p.rate_ctrl.on_backlog_sample(backlog, loop_.now());
+    if (!p.egress.udp()) {
+      p.rate_ctrl.on_backlog_sample(p.egress.backlog(), loop_.now());
     }
     const rate::OperatingPoint& op = p.rate_ctrl.update(loop_.now());
-    if (p.endpoint.kind == HostEndpoint::Kind::kUdp) {
+    if (p.egress.udp()) {
       p.bucket.set_rate(op.rate_bps, loop_.now());
     }
     // Frame-interval scaling: send this participant's frame only every
@@ -863,16 +785,12 @@ bool AppHost::pre_send(ParticipantState& p,
   // see the final state of the image"). The §4.3 UDP rate-control bucket
   // applies the same policy to UDP participants.
   bool skip = false;
-  if (p.endpoint.kind == HostEndpoint::Kind::kTcp &&
-      opts_.tcp_backlog_limit > 0) {
-    const std::size_t backlog =
-        (p.endpoint.backlog ? p.endpoint.backlog() : 0) + p.stream_carry.size();
-    if (backlog > opts_.tcp_backlog_limit) {
-      skip = true;
-      ++stats_.frames_skipped_backlog;
-    }
+  if (!p.egress.udp() && opts_.tcp_backlog_limit > 0 &&
+      p.egress.backlog() > opts_.tcp_backlog_limit) {
+    skip = true;
+    ++stats_.frames_skipped_backlog;
   }
-  if (p.endpoint.kind == HostEndpoint::Kind::kUdp && !p.bucket.unlimited() &&
+  if (p.egress.udp() && !p.bucket.unlimited() &&
       p.bucket.available(loop_.now()) < static_cast<double>(opts_.mtu_payload)) {
     skip = true;
     ++stats_.frames_skipped_rate;
@@ -896,7 +814,6 @@ void AppHost::distribute_legacy(const std::vector<MoveRectangle>& scrolls,
 
     // One TX batch per participant turn: everything queued below goes to
     // the transport in a single drain at the end of the turn.
-    begin_tx_batch(p);
     if (p.needs_wmi) send_wmi(p);
     if (p.needs_full_refresh) {
       send_full_refresh(p, geom);
@@ -907,7 +824,7 @@ void AppHost::distribute_legacy(const std::vector<MoveRectangle>& scrolls,
       p.pointer_dirty = false;
       p.pointer_icon_dirty = false;
       ++p.frames_sent;
-      flush_tx(p);
+      p.egress.flush();
       continue;
     }
 
@@ -939,7 +856,7 @@ void AppHost::distribute_legacy(const std::vector<MoveRectangle>& scrolls,
       p.pointer_icon_dirty = false;
     }
     ++p.frames_sent;
-    flush_tx(p);
+    p.egress.flush();
   }
 }
 
@@ -1091,7 +1008,6 @@ void AppHost::distribute_shared(const std::vector<MoveRectangle>& scrolls,
   telemetry::ScopedSpan packetise_span(tel_->trace, "ah.packetise");
   for (SendPlan& sp : plan) {
     ParticipantState& p = *sp.p;
-    begin_tx_batch(p);
     if (p.needs_wmi) send_wmi(p);
     if (sp.send_mrs) {
       for (const MoveRectangle& mr : sp.mrs) send_move_rectangle(p, mr);
@@ -1149,7 +1065,7 @@ void AppHost::distribute_shared(const std::vector<MoveRectangle>& scrolls,
       p.pointer_icon_dirty = false;
     }
     ++p.frames_sent;
-    flush_tx(p);
+    p.egress.flush();
   }
 }
 
@@ -1366,14 +1282,10 @@ void AppHost::tick() {
       sr.rtp_timestamp = p.sender.timestamp_at(loop_.now());
       sr.packet_count = static_cast<std::uint32_t>(p.sender.packets_sent());
       sr.octet_count = static_cast<std::uint32_t>(p.sender.bytes_sent());
-      const Bytes wire = sr.serialize();
       ++stats_.srs_sent;
-      if (p.endpoint.kind == HostEndpoint::Kind::kUdp) {
-        if (p.endpoint.send_datagram) p.endpoint.send_datagram(wire);
-      } else if (p.endpoint.write_stream) {
-        auto framed = frame_packet(wire);
-        if (framed.ok()) p.endpoint.write_stream(*framed);
-      }
+      // Through the Egress: on TCP the SR is framed behind any carried
+      // bytes, never in the middle of a partly written frame.
+      p.egress.send_control(sr.serialize());
     }
   }
 }
@@ -1467,19 +1379,12 @@ void AppHost::handle_rtcp_message(ParticipantState& p, const RtcpMessage& msg) {
     if (cached == nullptr) continue;
     // For a multicast group the repair goes to the whole group, healing
     // every member that lost the packet on its own last hop.
+    if (p.egress.send(*cached) == 0) continue;
     ++stats_.retransmissions_sent;
     stats_.bytes_sent += cached->wire_size();
     p.bucket.consume(cached->wire_size(), loop_.now());
-    if (p.endpoint.kind == HostEndpoint::Kind::kUdp) {
-      if (p.endpoint.send_packet) {
-        p.endpoint.send_packet(*cached);
-      } else if (p.endpoint.send_datagram) {
-        const Bytes wire = cached->serialize();
-        stats_.payload_bytes_copied += wire.size();
-        p.endpoint.send_datagram(wire);
-      }
-    }
   }
+  p.egress.flush();  // one NACK's repairs leave as one batch
 }
 
 void AppHost::handle_hip(ParticipantId from, BytesView payload) {
@@ -1548,13 +1453,7 @@ void AppHost::handle_bfcp(ParticipantId from, BytesView packet) {
         alias == member_alias_.end() ? response.user_id : alias->second;
     auto it = participants_.find(target);
     if (it == participants_.end()) continue;
-    const Bytes wire = response.serialize();
-    if (it->second.endpoint.kind == HostEndpoint::Kind::kUdp) {
-      if (it->second.endpoint.send_datagram) it->second.endpoint.send_datagram(wire);
-    } else if (it->second.endpoint.write_stream) {
-      auto framed = frame_packet(wire);
-      if (framed.ok()) it->second.endpoint.write_stream(*framed);
-    }
+    it->second.egress.send_control(response.serialize());
   }
 }
 

@@ -37,6 +37,7 @@
 #include "rate/rate_controller.hpp"
 #include "remoting/message.hpp"
 #include "remoting/region_update.hpp"
+#include "rtp/egress.hpp"
 #include "rtp/framing.hpp"
 #include "rtp/packet_view.hpp"
 #include "rtp/retransmission_cache.hpp"
@@ -139,35 +140,6 @@ struct AppHostOptions {
   std::uint64_t seed = 0xADA5;
 };
 
-/// AH-side transport handle for one participant. The callbacks abstract the
-/// simulated network (or any other transport).
-struct HostEndpoint {
-  /// Transport family of this endpoint.
-  enum class Kind { kUdp, kTcp };
-  Kind kind = Kind::kUdp;
-  /// UDP: transmit one datagram. Return false if dropped before the wire
-  /// (interface queue full).
-  std::function<bool(BytesView)> send_datagram;
-  /// TCP: non-blocking stream write; returns bytes accepted.
-  std::function<std::size_t(BytesView)> write_stream;
-  /// TCP: current send-buffer backlog in bytes (the §7 select() signal).
-  std::function<std::size_t()> backlog;
-  /// UDP, optional zero-copy path: transmit one header-plus-view packet
-  /// without materialising it up front. When unset the AH serialises into
-  /// send_datagram instead (and counts the copy).
-  std::function<bool(const PacketView&)> send_packet;
-  /// UDP, optional: drain one participant's per-tick TX batch in a single
-  /// call (packets in order); returns how many the transport accepted.
-  /// When unset packets go out one by one through send_packet/send_datagram.
-  std::function<std::size_t(std::span<const PacketView>)> send_packet_batch;
-  /// TCP, optional: gather-write — offer the concatenation of `parts` as
-  /// one stream write and return bytes accepted. Lets the AH hand carry +
-  /// RFC 4571 length prefix + RTP header + shared payload to the transport
-  /// without first concatenating them. When unset the AH stages framed
-  /// bytes through its carry buffer and uses write_stream.
-  std::function<std::size_t(std::span<const BytesView>)> write_gather;
-};
-
 /// The Application Host: owns capture, encode, fan-out, feedback handling
 /// and per-participant adaptation for one sharing session.
 class AppHost {
@@ -178,11 +150,17 @@ class AppHost {
   ~AppHost();
 
   /// Validate and normalise options: rejects impossible settings
-  /// (frame_interval_us == 0, non-positive screen dimensions, zero MTU)
-  /// with std::invalid_argument, and clamps merely nonsensical ones (a UDP
-  /// burst smaller than one MTU with rate control on, negative band rows,
-  /// inverted adaptation rate bounds) to the nearest workable value.
+  /// (frame_interval_us == 0, non-positive screen dimensions, a zero MTU or
+  /// one above kMaxMtuPayload) with std::invalid_argument, and clamps
+  /// merely nonsensical ones (a UDP burst smaller than one MTU with rate
+  /// control on, negative band rows, inverted adaptation rate bounds) to
+  /// the nearest workable value.
   static AppHostOptions validated(AppHostOptions opts);
+
+  /// Largest mtu_payload whose packets (12-byte RTP header + payload) both
+  /// a UDP datagram and an RFC 4571 frame can carry.
+  static constexpr std::size_t kMaxMtuPayload =
+      Egress::kMaxDatagram - PacketView::kHeaderSize;
 
   /// The window manager whose shared windows this AH exports.
   WindowManager& wm() { return wm_; }
@@ -193,14 +171,14 @@ class AppHost {
   /// The validated options this AH runs with.
   const AppHostOptions& options() const { return opts_; }
 
-  /// Register a participant. For TCP endpoints the AH immediately queues
-  /// WindowManagerInfo + a full refresh (§4.4); UDP participants are
-  /// expected to send PLI (§4.3). A non-zero `reuse_id` re-registers a
-  /// returning participant (TCP reconnect) under its previous id — BFCP
-  /// floor state and HIP identity carry over — with fresh transport state
-  /// (RTP stream, caches, uplink deframer). Falls back to a new id if the
-  /// requested one is still occupied.
-  ParticipantId add_participant(HostEndpoint endpoint, ParticipantId reuse_id = 0);
+  /// Register a participant reached over `transport`. For TCP links the AH
+  /// immediately queues WindowManagerInfo + a full refresh (§4.4); UDP
+  /// participants are expected to send PLI (§4.3). A non-zero `reuse_id`
+  /// re-registers a returning participant (TCP reconnect) under its previous
+  /// id — BFCP floor state and HIP identity carry over — with fresh
+  /// transport state (RTP stream, caches, uplink deframer). Falls back to a
+  /// new id if the requested one is still occupied.
+  ParticipantId add_participant(Transport transport, ParticipantId reuse_id = 0);
   /// Deregister a participant and reclaim all its per-participant state.
   void remove_participant(ParticipantId id);
   /// Number of currently registered participants.
@@ -314,10 +292,10 @@ class AppHost {
     std::uint64_t fanout_encodes_unique = 0;  ///< bands encoded once per cohort
     std::uint64_t fanout_encodes_shared = 0;  ///< band encodes saved by sharing
     // Zero-copy datapath accounting (docs/DATAPATH.md). payload_bytes_copied
-    // counts sender-side staging copies only: band-stream serialisation, TCP
-    // carry staging, and fallback per-packet serialisation for endpoints
-    // without the view callbacks. Transport-level materialisation of a
-    // delivered datagram is the wire (the NIC-DMA analogue), not a copy.
+    // counts sender-side staging copies only: band-stream serialisation and
+    // the bytes a partial TCP write leaves in the Egress carry. Transport-
+    // level materialisation of a delivered datagram is the wire (the NIC-DMA
+    // analogue), not a copy.
     std::uint64_t packets_built = 0;          ///< header-plus-view packets assembled
     std::uint64_t payload_bytes_copied = 0;   ///< staging copies, in bytes
     std::uint64_t band_streams_built = 0;     ///< fragment streams serialised once
@@ -369,7 +347,7 @@ class AppHost {
 
  private:
   struct ParticipantState {
-    HostEndpoint endpoint;
+    Egress egress;             ///< framing, carry, batching (rtp/egress.hpp)
     RtpSender sender;          ///< per-participant remoting RTP stream
     RetransmissionCache cache;
     TokenBucket bucket;        ///< §4.3 UDP rate control
@@ -377,7 +355,6 @@ class AppHost {
     bool needs_full_refresh = false;
     bool needs_wmi = false;
     Region pending;            ///< damage not yet delivered (backlog skips)
-    Bytes stream_carry;        ///< unwritten tail of a partial TCP write
     std::uint64_t frames_sent = 0;
     StreamDeframer uplink_deframer;  ///< TCP uplink reassembly
     std::optional<ReportBlock> last_rr;
@@ -396,18 +373,17 @@ class AppHost {
     // queues the newly-streamed area as pending damage.
     transcode::OutputGeometry geometry;
     Rect geometry_src;
-    // Zero-copy TX batching: while `batching` is set (one participant's
-    // distribute turn, UDP endpoints with a send_packet_batch callback),
-    // transmit_view() queues packets here; flush_tx() drains them in one
-    // transport call at the end of the turn.
-    std::vector<PacketView> tx_batch;
-    bool batching = false;
 
-    ParticipantState(std::uint8_t pt, std::uint64_t seed, std::size_t cache_size,
+    ParticipantState(Transport transport, std::uint64_t* bytes_copied,
+                     std::uint8_t pt, std::uint64_t seed, std::size_t cache_size,
                      std::uint64_t rate_bps, std::size_t burst,
-                     rate::Transport transport, const rate::AdaptationOptions& adapt)
-        : sender(pt, seed), cache(cache_size), bucket(rate_bps, burst),
-          rate_ctrl(transport, adapt) {}
+                     const rate::AdaptationOptions& adapt)
+        : egress(std::move(transport), bytes_copied),
+          sender(pt, seed),
+          cache(cache_size),
+          bucket(rate_bps, burst),
+          rate_ctrl(egress.udp() ? rate::Transport::kUdp : rate::Transport::kTcp,
+                    adapt) {}
   };
 
   /// One band's serialised fragment stream: a pooled buffer holding the
@@ -424,15 +400,10 @@ class AppHost {
   /// payload_bytes_copied). `content` is consumed.
   BandStream make_band_stream(const Rect& r, ContentPt pt, Bytes content,
                               const transcode::OutputGeometry& geom);
-  /// Account for and hand one packet to the participant's transport: UDP →
-  /// retransmission cache + §4.3 bucket + batch/packet/datagram callback
-  /// (first available); TCP → RFC 4571 gather-write with carry, or the
-  /// staged carry + write_stream fallback.
+  /// Hand one packet to the participant's Egress and account for it; a UDP
+  /// packet also enters the retransmission cache and the §4.3 bucket. A
+  /// packet the Egress drops as oversize is counted nowhere.
   void transmit_view(ParticipantState& p, const PacketView& v, SimTime now);
-  /// Arm per-turn TX batching for `p` when its endpoint can drain batches.
-  void begin_tx_batch(ParticipantState& p);
-  /// Drain `p`'s TX batch in one send_packet_batch call and disarm batching.
-  void flush_tx(ParticipantState& p);
   void send_payload(ParticipantState& p, Bytes payload, bool marker, SimTime now);
   void send_wmi(ParticipantState& p);
   void send_full_refresh(ParticipantState& p,
@@ -468,8 +439,8 @@ class AppHost {
   /// granularity). Empty rects are dropped.
   std::vector<Rect> band_split(const std::vector<Rect>& rects) const;
   /// Per-participant pre-send policy shared by both distribute paths:
-  /// flushes TCP carry, records whether the participant was current before
-  /// this tick's damage landed (`was_current` — the §5.2.2 MoveRectangle
+  /// drains the Egress carry, records whether the participant was current
+  /// before this tick's damage landed (`was_current` — the §5.2.2 MoveRectangle
   /// eligibility), accumulates damage, runs the ads::rate update and the
   /// fps-divisor / §7 backlog / §4.3 bucket gates. Returns false when the
   /// participant is skipped this tick (scrolled areas are folded into its

@@ -213,6 +213,12 @@ void Participant::handle_rtp(RtpPacket pkt) {
     request_refresh();
   }
   for (RtpPacket& p : ready) deliver(p);
+  if (reorder_.opening() && !opening_timer_armed_) {
+    opening_timer_armed_ = true;
+    loop_.after(opts_.nack_delay_us, [this] {
+      for (RtpPacket& p : reorder_.end_opening()) deliver(p);
+    });
+  }
 
   if (!receiver_.missing(1).empty()) {
     if (opts_.send_nacks) schedule_nack();

@@ -38,6 +38,9 @@ struct ParticipantOptions {
   /// Send Generic NACKs for missing packets (§5.3.2); pointless when the
   /// AH's SDP said retransmissions=no.
   bool send_nacks = true;
+  /// How long a gap may be mere reordering before it is NACKed; a fresh
+  /// stream's opening packets are held this long too, so that ones a later
+  /// packet overtook are still delivered in order.
   SimTime nack_delay_us = 15'000;
   /// Random extra NACK delay drawn per round — multicast NACK-storm
   /// avoidance (§5.3.2: "waiting random amount of time before sending a
@@ -216,6 +219,7 @@ class Participant {
   std::uint32_t remoting_ssrc_ = 0;  ///< learned from the first packet
   bool nack_timer_armed_ = false;
   bool recovery_timer_armed_ = false;
+  bool opening_timer_armed_ = false;  ///< the reorder opening hold will end
   bool rr_timer_armed_ = false;
   int nack_rounds_ = 0;
   std::map<std::uint16_t, int> nack_attempts_;  ///< per-seq retry counts

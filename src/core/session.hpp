@@ -55,7 +55,7 @@ class SharingSession {
     std::unique_ptr<UdpChannel> up_udp;
     std::unique_ptr<TcpChannel> down_tcp;
     std::unique_ptr<TcpChannel> up_tcp;
-    Bytes up_carry;  ///< partially-written uplink frame (TCP)
+    Egress up_egress;  ///< RFC 4571 framing + carry of the uplink (TCP)
   };
 
   /// Create a UDP participant wired through lossy channels. The

@@ -4,7 +4,8 @@
 // another relay — and re-fans it to N downstream legs *without re-encoding
 // or re-serialising*: each arriving packet becomes (or already is) a
 // PacketView into a shared refcounted buffer, and forwarding to a leg costs
-// one refcount bump plus a `send_batch`/`send_gather` transport call. A
+// one refcount bump plus one batch or gather call through that leg's Egress
+// (rtp/egress.hpp, shared with the AH). A
 // depth-D tree of degree-K relays therefore serves K^D × viewers-per-leaf
 // receivers while the AH encodes exactly once (see docs/RELAY.md and the
 // byte-identity golden in tests/relay).
@@ -54,6 +55,7 @@
 #include "net/event_loop.hpp"
 #include "net/rate_limiter.hpp"
 #include "rate/rate_controller.hpp"
+#include "rtp/egress.hpp"
 #include "rtp/framing.hpp"
 #include "rtp/packet_classify.hpp"
 #include "rtp/packet_view.hpp"
@@ -145,30 +147,6 @@ struct LegConfig {
   std::optional<std::size_t> burst_bytes;
 };
 
-/// Relay-side transport handle for one downstream leg — the same callback
-/// shape as the AH's HostEndpoint, so session wiring builds both from one
-/// channel idiom.
-struct LegEndpoint {
-  /// Transport family of this leg.
-  enum class Kind { kUdp, kTcp };
-  Kind kind = Kind::kUdp;
-  /// UDP: transmit one datagram (control traffic and view-unaware media
-  /// fallback). Return false if dropped before the wire.
-  std::function<bool(BytesView)> send_datagram;
-  /// UDP, zero-copy: transmit one header-plus-view packet.
-  std::function<bool(const PacketView&)> send_packet;
-  /// UDP, zero-copy: drain one forward turn's packets in a single call
-  /// (in order); returns how many the transport accepted.
-  std::function<std::size_t(std::span<const PacketView>)> send_packet_batch;
-  /// TCP: non-blocking stream write; returns bytes accepted.
-  std::function<std::size_t(BytesView)> write_stream;
-  /// TCP, zero-copy: gather-write carry + RFC 4571 prefix + header +
-  /// shared payload as one offer; returns bytes accepted.
-  std::function<std::size_t(std::span<const BytesView>)> write_gather;
-  /// TCP: current send-buffer backlog in bytes (the §7 signal).
-  std::function<std::size_t()> backlog;
-};
-
 /// One relay node: upstream RTP/RTCP termination, zero-copy downstream
 /// fan-out, upward feedback aggregation. Single-threaded on the event loop,
 /// like everything else in the simulator.
@@ -211,8 +189,9 @@ class RelayNode {
   // ----- downstream side ----------------------------------------------
 
   /// Register a downstream leg (a viewer's link or a child relay's
-  /// upstream). Throws std::invalid_argument past options().max_legs.
-  LegId add_leg(LegEndpoint endpoint, LegConfig cfg = {});
+  /// upstream) reached over `transport`. Throws std::invalid_argument past
+  /// options().max_legs.
+  LegId add_leg(Transport transport, LegConfig cfg = {});
   /// Deregister a leg and reclaim its state.
   void remove_leg(LegId id);
   /// Number of registered legs.
@@ -307,7 +286,7 @@ class RelayNode {
     std::uint64_t forwarded_bytes = 0;    ///< per-leg media bytes
     std::uint64_t control_forwarded = 0;  ///< SR/BFCP datagrams fanned down
     std::uint64_t repairs_forwarded = 0;  ///< upstream repairs routed to waiters
-    std::uint64_t payload_bytes_copied = 0;  ///< staging copies (0 on view legs)
+    std::uint64_t payload_bytes_copied = 0;  ///< bytes left in TCP leg carries
     std::uint64_t leg_drops_backlog = 0;  ///< §7 gate drops across legs
     std::uint64_t leg_drops_rate = 0;     ///< §4.3 bucket drops across legs
     // NACK aggregation.
@@ -356,20 +335,22 @@ class RelayNode {
 
  private:
   struct LegState {
-    LegEndpoint ep;
+    Egress egress;  ///< framing, carry, per-turn batching (rtp/egress.hpp)
     TokenBucket bucket;
     rate::RateController rate_ctrl;
     std::optional<ReportBlock> last_rr;
-    Bytes stream_carry;              ///< unwritten tail of a partial TCP write
     StreamDeframer uplink_deframer;  ///< TCP leg uplink reassembly
-    std::vector<PacketView> tx_batch;  ///< one forward turn's packets
     std::uint64_t forwarded = 0;
     std::uint64_t drops_backlog = 0;
     std::uint64_t drops_rate = 0;
 
-    LegState(std::uint64_t rate_bps, std::size_t burst,
-             rate::Transport transport, const rate::AdaptationOptions& adapt)
-        : bucket(rate_bps, burst), rate_ctrl(transport, adapt) {}
+    LegState(Transport transport, std::uint64_t* bytes_copied,
+             std::uint64_t rate_bps, std::size_t burst,
+             const rate::AdaptationOptions& adapt)
+        : egress(std::move(transport), bytes_copied),
+          bucket(rate_bps, burst),
+          rate_ctrl(egress.udp() ? rate::Transport::kUdp : rate::Transport::kTcp,
+                    adapt) {}
   };
 
   /// A sequence the subtree is missing: which legs asked (or everyone, for
@@ -380,14 +361,10 @@ class RelayNode {
     SimTime requested_at = 0;
   };
 
-  /// Dispatch one upstream packet that arrived as owned bytes.
-  void dispatch_upstream(Bytes datagram);
   /// Bookkeeping + cache + fan-out for one ingested media view.
   void ingest_media(const PacketView& v);
   /// Queue one media packet onto a leg, honouring that leg's §7/§4.3 gates.
-  void forward_to_leg(LegId id, LegState& leg, const PacketView& v);
-  /// Drain a leg's queued packets in one batch transport call.
-  void flush_leg(LegState& leg);
+  void forward_to_leg(LegState& leg, const PacketView& v);
   /// Fan one upstream control datagram (SR, BFCP) to every leg verbatim.
   void forward_control(BytesView packet);
   /// Consume upstream RTCP (SR → LSR/DLSR state) before fanning it down.

@@ -5,21 +5,27 @@ namespace ads {
 std::vector<RtpPacket> ReorderBuffer::push(RtpPacket pkt, std::uint64_t now_us) {
   if (!started_) {
     started_ = true;
-    next_seq_ = pkt.sequence;
+    first_seq_ = next_seq_ = pkt.sequence;
   }
 
-  const std::uint16_t offset = static_cast<std::uint16_t>(pkt.sequence - next_seq_);
+  std::uint16_t offset = static_cast<std::uint16_t>(pkt.sequence - next_seq_);
   if (offset >= 0x8000) {
-    // Behind the delivery cursor: late duplicate or already-skipped packet.
-    ++dropped_late_;
-    return {};
+    const auto behind_first = static_cast<std::uint16_t>(first_seq_ - pkt.sequence);
+    if (!opening_ || behind_first > max_hold_) {
+      // Behind the delivery cursor: late duplicate or already-skipped packet.
+      ++dropped_late_;
+      return {};
+    }
+    rebase(pkt.sequence);  // nothing delivered yet: hold it too
+    offset = 0;
   }
   if (!held_.emplace(offset, Held{std::move(pkt), now_us}).second) {
     ++dropped_late_;  // duplicate of a held packet
     return {};
   }
 
-  auto out = drain();
+  if (opening_ && held_.size() <= max_hold_) return {};
+  auto out = end_opening();
   // Head-of-line blocking bound: give up on the gap when the buffer holds
   // too much newer data.
   if (held_.size() > max_hold_) {
@@ -40,14 +46,18 @@ std::vector<RtpPacket> ReorderBuffer::drain() {
     held_.erase(held_.begin());
     ++expect;
   }
-  if (expect == 0) return out;
-  next_seq_ = static_cast<std::uint16_t>(next_seq_ + expect);
+  if (expect != 0) rebase(static_cast<std::uint16_t>(next_seq_ + expect));
+  return out;
+}
+
+void ReorderBuffer::rebase(std::uint16_t next) {
+  const auto shift = static_cast<std::uint16_t>(next - next_seq_);
   std::map<std::uint16_t, Held> rekeyed;
   for (auto& [off, h] : held_) {
-    rekeyed.emplace(static_cast<std::uint16_t>(off - expect), std::move(h));
+    rekeyed.emplace(static_cast<std::uint16_t>(off - shift), std::move(h));
   }
   held_ = std::move(rekeyed);
-  return out;
+  next_seq_ = next;
 }
 
 std::optional<std::uint64_t> ReorderBuffer::oldest_held_us() const {
@@ -71,8 +81,21 @@ std::vector<RtpPacket> ReorderBuffer::expire_older_than(std::uint64_t cutoff_us)
   return out;
 }
 
+std::vector<RtpPacket> ReorderBuffer::end_opening() {
+  if (opening_ && started_) {
+    opening_ = false;
+    auto from = static_cast<std::uint16_t>(first_seq_ - next_seq_);
+    while (from > 0 && held_.count(static_cast<std::uint16_t>(from - 1)) != 0) --from;
+    for (; !held_.empty() && held_.begin()->first < from; ++dropped_late_) {
+      held_.erase(held_.begin());
+    }
+    rebase(static_cast<std::uint16_t>(next_seq_ + from));
+  }
+  return drain();
+}
+
 std::vector<RtpPacket> ReorderBuffer::flush_all() {
-  std::vector<RtpPacket> out;
+  std::vector<RtpPacket> out = end_opening();
   if (held_.empty()) return out;
   ++gaps_skipped_;
   const std::uint16_t last_offset = held_.rbegin()->first;
@@ -86,20 +109,19 @@ void ReorderBuffer::reset_to(std::uint16_t next) {
   if (!held_.empty()) return;  // refuse to drop data silently
   next_seq_ = next;
   started_ = true;
+  opening_ = false;
 }
 
 std::vector<RtpPacket> ReorderBuffer::skip_gap() {
-  if (held_.empty()) return {};
+  std::vector<RtpPacket> out = end_opening();
+  if (held_.empty()) return out;
   ++gaps_skipped_;
   // Jump the cursor to the first held packet.
-  const std::uint16_t jump = held_.begin()->first;
-  next_seq_ = static_cast<std::uint16_t>(next_seq_ + jump);
-  std::map<std::uint16_t, Held> rekeyed;
-  for (auto& [off, h] : held_) {
-    rekeyed.emplace(static_cast<std::uint16_t>(off - jump), std::move(h));
-  }
-  held_ = std::move(rekeyed);
-  return drain();
+  rebase(static_cast<std::uint16_t>(next_seq_ + held_.begin()->first));
+  auto flushed = drain();
+  out.insert(out.end(), std::make_move_iterator(flushed.begin()),
+             std::make_move_iterator(flushed.end()));
+  return out;
 }
 
 }  // namespace ads

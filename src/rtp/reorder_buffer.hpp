@@ -8,6 +8,15 @@
 // once held packets have waited too long, so a permanently lost packet
 // cannot stall delivery even across a sequence-number wrap where newer
 // arrivals alone would never exceed the count bound.
+//
+// A receiver cannot tell whether the first packet it sees opens the stream:
+// on a jittery link a later packet may overtake the first ones. So a fresh
+// buffer holds its packets until end_opening(), and until then takes a
+// packet behind the cursor (within max_hold of the first packet) as well.
+// The opening then starts at the earliest packet that reaches the first one
+// without a hole. The receiver's loss detection starts at the first packet
+// too, so nobody would repair such a hole, and a packet behind one (a stray
+// repair of an older packet, say) is dropped as late.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +34,10 @@ class ReorderBuffer {
 
   /// Insert an arriving packet; returns every packet now deliverable in
   /// order (possibly none). Duplicates and packets older than the delivery
-  /// cursor are dropped. `now_us` (any monotonic microsecond clock) stamps
-  /// the packet for the expire_older_than() age bound.
+  /// cursor are dropped. Until end_opening() nothing is delivered (unless
+  /// more than max_hold packets are held) and packets behind the cursor are
+  /// held too (see the file comment). `now_us` (any monotonic microsecond
+  /// clock) stamps the packet for the expire_older_than() age bound.
   std::vector<RtpPacket> push(RtpPacket pkt, std::uint64_t now_us = 0);
 
   /// Age bound: while the oldest held packet arrived before `cutoff_us`,
@@ -40,6 +51,16 @@ class ReorderBuffer {
 
   /// Deliver everything held (in order, regardless of gaps) and return it.
   std::vector<RtpPacket> flush_all();
+
+  /// End the opening hold: drop the packets behind a hole in front of the
+  /// first packet, then deliver the contiguous run from the cursor; a gap
+  /// after it waits like any other. Once the opening is over, this only
+  /// delivers what is deliverable (nothing, normally).
+  std::vector<RtpPacket> end_opening();
+
+  /// True while the opening hold keeps a started stream's packets back
+  /// (skip_gap(), flush_all() and expiry end it too).
+  bool opening() const { return opening_ && started_; }
 
   /// Move the delivery cursor to `next` (buffer must be empty — flush
   /// first). Used after a loss-recovery full refresh to jump past a gap
@@ -65,12 +86,16 @@ class ReorderBuffer {
   };
 
   std::vector<RtpPacket> drain();
+  /// Move the delivery cursor to `next`, rekeying the held packets.
+  void rebase(std::uint16_t next);
 
   // Key is the modular distance from next_seq_ so iteration order matches
   // delivery order even across the 16-bit wrap.
   std::map<std::uint16_t, Held> held_;
   std::size_t max_hold_;
+  bool opening_ = true;  ///< holding a fresh stream's packets
   bool started_ = false;
+  std::uint16_t first_seq_ = 0;  ///< the first packet pushed
   std::uint16_t next_seq_ = 0;
   std::uint64_t dropped_late_ = 0;
   std::uint64_t gaps_skipped_ = 0;

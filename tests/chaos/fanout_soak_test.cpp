@@ -10,6 +10,7 @@
 #include <memory>
 #include <vector>
 
+#include "byte_sink_transport.hpp"
 #include "capture/apps.hpp"
 #include "core/app_host.hpp"
 #include "core/participant.hpp"
@@ -46,8 +47,7 @@ TEST(FanoutSoak, SharedFanout256UdpParticipantsUnderChaos) {
   std::uint64_t datagrams = 0;
   int tick_no = 0;
   for (std::size_t i = 0; i < kParticipants; ++i) {
-    HostEndpoint ep;
-    ep.kind = HostEndpoint::Kind::kUdp;
+    Transport ep;
     if (i % 64 == 0) {
       ParticipantOptions popts;
       popts.transport = ParticipantOptions::Transport::kUdp;
@@ -55,22 +55,18 @@ TEST(FanoutSoak, SharedFanout256UdpParticipantsUnderChaos) {
       popts.screen_height = 240;
       auto part = std::make_unique<Participant>(loop, popts);
       Participant* raw = part.get();
-      ep.send_datagram = [raw](BytesView d) {
-        raw->on_datagram(d);
-        return true;
-      };
+      ep = test::udp_sink([raw](BytesView d) { raw->on_datagram(d); });
       replicas.push_back(std::move(part));
     } else {
       const bool lossy = (i % 3 == 1);
-      ep.send_datagram = [&datagrams, &tick_no, lossy, i](BytesView) {
+      ep = test::udp_sink([&datagrams, &tick_no, lossy, i](BytesView) {
         // Chaos ticks drop a sliding third of the lossy endpoints' packets.
         if (lossy && tick_no < kChaosTicks &&
             (tick_no + static_cast<int>(i)) % 3 == 0) {
-          return false;
+          return;
         }
         ++datagrams;
-        return true;
-      };
+      });
     }
     ids.push_back(host.add_participant(std::move(ep)));
   }

@@ -43,6 +43,19 @@ TEST(AppHostOptions, ZeroMtuThrows) {
   EXPECT_THROW(AppHost::validated(opts), std::invalid_argument);
 }
 
+TEST(AppHostOptions, MtuBeyondOneDatagramThrows) {
+  // 12-byte RTP header + 65495 = 65507, the largest UDP payload over IPv4:
+  // any larger packet fits neither a datagram nor (from 65524 on) an
+  // RFC 4571 frame.
+  AppHostOptions opts;
+  opts.mtu_payload = 65495;
+  EXPECT_EQ(AppHost::validated(opts).mtu_payload, 65495u);
+  opts.mtu_payload = 65496;
+  EXPECT_THROW(AppHost::validated(opts), std::invalid_argument);
+  opts.mtu_payload = std::size_t{1} << 20;
+  EXPECT_THROW(AppHost::validated(opts), std::invalid_argument);
+}
+
 TEST(AppHostOptions, NonPositiveDamageTileClampsToDefault) {
   AppHostOptions opts;
   opts.damage_tile = 0;

@@ -12,6 +12,7 @@
 #include <memory>
 #include <vector>
 
+#include "byte_sink_transport.hpp"
 #include "capture/apps.hpp"
 #include "core/app_host.hpp"
 #include "rtp/rtcp.hpp"
@@ -57,42 +58,33 @@ GoldenResult run_golden(bool shared_fanout) {
   };
 
   // Viewer 0: healthy TCP.
-  HostEndpoint ep0;
-  ep0.kind = HostEndpoint::Kind::kTcp;
-  ep0.write_stream = [&](BytesView d) {
-    capture_stream(0, d, d.size());
-    return d.size();
-  };
-  ep0.backlog = [] { return std::size_t{0}; };
-  host.add_participant(std::move(ep0));
+  host.add_participant(test::tcp_sink(
+      [&](BytesView d) {
+        capture_stream(0, d, d.size());
+        return d.size();
+      },
+      [] { return std::size_t{0}; }));
 
   // Viewer 1: flaky TCP — §7 backlog spike on ticks 10..15, partial writes
   // (stream-carry path) on ticks 20..23.
-  HostEndpoint ep1;
-  ep1.kind = HostEndpoint::Kind::kTcp;
-  ep1.write_stream = [&](BytesView d) {
-    const std::size_t allow =
-        (tick_no >= 20 && tick_no < 24) ? std::min<std::size_t>(d.size(), 96)
-                                        : d.size();
-    capture_stream(1, d, allow);
-    return allow;
-  };
-  ep1.backlog = [&tick_no] {
-    return (tick_no >= 10 && tick_no < 16) ? std::size_t{1} << 20
-                                           : std::size_t{0};
-  };
-  host.add_participant(std::move(ep1));
+  host.add_participant(test::tcp_sink(
+      [&](BytesView d) {
+        const std::size_t allow =
+            (tick_no >= 20 && tick_no < 24) ? std::min<std::size_t>(d.size(), 96)
+                                            : d.size();
+        capture_stream(1, d, allow);
+        return allow;
+      },
+      [&tick_no] {
+        return (tick_no >= 10 && tick_no < 16) ? std::size_t{1} << 20
+                                               : std::size_t{0};
+      }));
 
   // Viewers 2..4: UDP. Viewer 3 negotiates DCT — its own cohort.
   std::vector<ParticipantId> udp_ids;
   for (std::size_t i = 2; i < kViewers; ++i) {
-    HostEndpoint ep;
-    ep.kind = HostEndpoint::Kind::kUdp;
-    ep.send_datagram = [&, i](BytesView d) {
-      capture_stream(i, d, d.size());
-      return true;
-    };
-    udp_ids.push_back(host.add_participant(std::move(ep)));
+    udp_ids.push_back(host.add_participant(
+        test::udp_sink([&, i](BytesView d) { capture_stream(i, d, d.size()); })));
   }
   host.set_participant_codec(udp_ids[1], ContentPt::kDct);
 

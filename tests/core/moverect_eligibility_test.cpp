@@ -12,6 +12,7 @@
 
 #include <memory>
 
+#include "byte_sink_transport.hpp"
 #include "core/app_host.hpp"
 #include "core/participant.hpp"
 #include "image/metrics.hpp"
@@ -77,15 +78,13 @@ struct TcpViewer {
   Participant participant;
   std::size_t backlog = 0;
 
-  HostEndpoint endpoint() {
-    HostEndpoint ep;
-    ep.kind = HostEndpoint::Kind::kTcp;
-    ep.write_stream = [this](BytesView data) {
-      participant.on_stream_bytes(data);
-      return data.size();
-    };
-    ep.backlog = [this] { return backlog; };
-    return ep;
+  Transport endpoint() {
+    return test::tcp_sink(
+        [this](BytesView data) {
+          participant.on_stream_bytes(data);
+          return data.size();
+        },
+        [this] { return backlog; });
   }
 };
 

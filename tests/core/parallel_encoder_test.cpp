@@ -2,6 +2,7 @@
 // encoded-region cache (hits, LRU byte bound), and the end-to-end golden
 // guarantee — an AppHost configured serial (encode_threads=0) and one
 // configured parallel (encode_threads=4) emit byte-identical wire streams.
+#include "byte_sink_transport.hpp"
 #include "core/parallel_encoder.hpp"
 
 #include <gtest/gtest.h>
@@ -160,14 +161,10 @@ std::unique_ptr<AppHost> make_host(EventLoop& loop, std::size_t threads,
   auto host = std::make_unique<AppHost>(loop, opts);
   const WindowId w = host->wm().create({8, 8, 288, 224}, 1);
   host->capturer().attach(w, make_app(workload, 288, 224, 21));
-  HostEndpoint ep;
-  ep.kind = HostEndpoint::Kind::kUdp;
-  ep.send_datagram = [&capture](BytesView wire) {
+  host->add_participant(test::udp_sink([&capture](BytesView wire) {
     capture.stream.insert(capture.stream.end(), wire.begin(), wire.end());
     ++capture.datagrams;
-    return true;
-  };
-  host->add_participant(std::move(ep));
+  }));
   return host;
 }
 

@@ -2,6 +2,7 @@
 // icon persistence, and the late-joiner pointer requirement.
 #include <gtest/gtest.h>
 
+#include "byte_sink_transport.hpp"
 #include "core/session.hpp"
 #include "image/metrics.hpp"
 
@@ -118,14 +119,12 @@ TEST(PointerFlow, BacklogSkippedParticipantStillGetsPointerUpdate) {
   Participant part(loop, popts);
 
   std::size_t scripted_backlog = 0;
-  HostEndpoint ep;
-  ep.kind = HostEndpoint::Kind::kTcp;
-  ep.write_stream = [&part](BytesView data) {
-    part.on_stream_bytes(data);
-    return data.size();
-  };
-  ep.backlog = [&scripted_backlog] { return scripted_backlog; };
-  host.add_participant(std::move(ep));
+  host.add_participant(test::tcp_sink(
+      [&part](BytesView data) {
+        part.on_stream_bytes(data);
+        return data.size();
+      },
+      [&scripted_backlog] { return scripted_backlog; }));
 
   host.tick();  // late-join WMI + full refresh + initial pointer
 

@@ -72,7 +72,7 @@ TEST(SessionResilience, TcpDropThenReconnectResyncsViaLateJoinPath) {
 
 TEST(SessionResilience, MidFrameDisconnectDoesNotDesyncUplinkParser) {
   // Force the uplink into a state where a partially-written RFC 4571 frame
-  // sits in up_carry (and its prefix in the AH's deframer), then drop and
+  // sits in the uplink carry (and its prefix in the AH's deframer), then drop and
   // reconnect. Neither side may misparse the new byte stream.
   SharingSession session(small_host());
   const WindowId w = session.host().wm().create({0, 0, 96, 96}, 1);
@@ -90,13 +90,16 @@ TEST(SessionResilience, MidFrameDisconnectDoesNotDesyncUplinkParser) {
   for (int i = 0; i < 40; ++i) {
     conn.participant->mouse_move(10 + static_cast<std::uint32_t>(i), 20);
   }
-  EXPECT_FALSE(conn.up_carry.empty());  // partial frame stuck in the carry
+  // Partial frame stuck in the uplink Egress carry (backlog beyond the
+  // channel's own).
+  EXPECT_GT(conn.up_egress.backlog(), conn.up_tcp->backlog_bytes());
   session.run_for(sim_ms(50));          // its prefix reaches the AH
 
   session.drop_tcp(conn);
   session.run_for(sim_ms(300));
   session.reconnect_tcp(conn, fast_tcp());
-  EXPECT_TRUE(conn.up_carry.empty());   // the torn frame died with the link
+  // The torn frame died with the link: no carry on the fresh uplink.
+  EXPECT_EQ(conn.up_egress.backlog(), conn.up_tcp->backlog_bytes());
 
   // Fresh HIP traffic over the new stream must parse cleanly.
   for (int i = 0; i < 10; ++i) {

@@ -15,6 +15,7 @@
 
 #include <memory>
 
+#include "byte_sink_transport.hpp"
 #include "capture/apps.hpp"
 #include "core/session.hpp"
 #include "image/metrics.hpp"
@@ -67,10 +68,7 @@ TEST(TranscodeFlow, OneEncodePerGeometryRungCohortPerTick) {
 
   std::vector<ParticipantId> ids;
   for (int i = 0; i < 5; ++i) {
-    HostEndpoint ep;
-    ep.kind = HostEndpoint::Kind::kUdp;
-    ep.send_datagram = [](BytesView) { return true; };
-    ids.push_back(host.add_participant(std::move(ep)));
+    ids.push_back(host.add_participant(test::udp_sink([](BytesView) {})));
   }
   ASSERT_TRUE(host.set_participant_geometry(ids[2], kHalf));
   ASSERT_TRUE(host.set_participant_geometry(ids[3], kQuarter));

@@ -34,24 +34,18 @@ struct LegCapture {
   std::vector<Bytes> control;
   std::set<std::uint16_t> seqs;
 
-  relay::LegEndpoint endpoint() {
-    relay::LegEndpoint ep;
-    ep.kind = relay::LegEndpoint::Kind::kUdp;
-    ep.send_packet = [this](const PacketView& v) {
-      v.serialize_into(media);
-      seqs.insert(v.sequence());
-      return true;
-    };
-    ep.send_packet_batch = [this](std::span<const PacketView> pkts) {
+  Transport endpoint() {
+    Transport ep;
+    ep.send_batch = [this](std::span<const PacketView> pkts) {
       for (const PacketView& v : pkts) {
         v.serialize_into(media);
         seqs.insert(v.sequence());
       }
       return pkts.size();
     };
-    ep.send_datagram = [this](BytesView d) {
-      control.emplace_back(d.begin(), d.end());
-      return true;
+    ep.write = [this](std::span<const BytesView> parts) {
+      control.emplace_back(parts.front().begin(), parts.front().end());
+      return parts.front().size();
     };
     return ep;
   }
@@ -82,18 +76,13 @@ TEST(RelayChainGolden, LeafBehindDepth2ChainMatchesDirectViewerByteForByte) {
   relay::RelayNode relay2(loop, r2_opts);
 
   // relay1 leg 1: feeds relay2 (in-process, zero-copy view hand-off).
-  relay::LegEndpoint to_r2;
-  to_r2.kind = relay::LegEndpoint::Kind::kUdp;
-  to_r2.send_packet = [&relay2](const PacketView& v) {
-    relay2.on_upstream_packet(v);
-    return true;
-  };
-  to_r2.send_packet_batch = [&relay2](std::span<const PacketView> pkts) {
+  Transport to_r2;
+  to_r2.send_batch = [&relay2](std::span<const PacketView> pkts) {
     return relay2.on_upstream_batch(pkts);
   };
-  to_r2.send_datagram = [&relay2](BytesView d) {
-    relay2.on_upstream_datagram(Bytes(d.begin(), d.end()));
-    return true;
+  to_r2.write = [&relay2](std::span<const BytesView> parts) {
+    relay2.on_upstream_datagram(Bytes(parts.front().begin(), parts.front().end()));
+    return parts.front().size();
   };
   const relay::LegId leg_r2 = relay1.add_leg(std::move(to_r2));
   relay2.set_upstream([&relay1, leg_r2](BytesView p) {
@@ -106,20 +95,21 @@ TEST(RelayChainGolden, LeafBehindDepth2ChainMatchesDirectViewerByteForByte) {
   int tick_no = 0;
   LegCapture b;
   std::set<std::uint16_t> b_dropped;
-  relay::LegEndpoint b_ep;
-  b_ep.kind = relay::LegEndpoint::Kind::kUdp;
-  b_ep.send_packet = [&](const PacketView& v) {
-    if (tick_no >= 10 && tick_no < 16) {
-      b_dropped.insert(v.sequence());
-      return true;  // accepted by the "link", lost after the relay
+  Transport b_ep;
+  b_ep.send_batch = [&](std::span<const PacketView> pkts) {
+    for (const PacketView& v : pkts) {
+      if (tick_no >= 10 && tick_no < 16) {
+        b_dropped.insert(v.sequence());
+        continue;  // accepted by the "link", lost after the relay
+      }
+      v.serialize_into(b.media);
+      b.seqs.insert(v.sequence());
     }
-    v.serialize_into(b.media);
-    b.seqs.insert(v.sequence());
-    return true;
+    return pkts.size();
   };
-  b_ep.send_datagram = [&b](BytesView d) {
-    b.control.emplace_back(d.begin(), d.end());
-    return true;
+  b_ep.write = [&b](std::span<const BytesView> parts) {
+    b.control.emplace_back(parts.front().begin(), parts.front().end());
+    return parts.front().size();
   };
   const relay::LegId leg_b = relay1.add_leg(std::move(b_ep));
 
@@ -137,39 +127,16 @@ TEST(RelayChainGolden, LeafBehindDepth2ChainMatchesDirectViewerByteForByte) {
   // Direct viewer: same endpoint shape as the leaf's leg, wired straight to
   // the AH.
   LegCapture direct;
-  HostEndpoint direct_ep;
-  direct_ep.kind = HostEndpoint::Kind::kUdp;
-  direct_ep.send_packet = [&direct](const PacketView& v) {
-    v.serialize_into(direct.media);
-    direct.seqs.insert(v.sequence());
-    return true;
-  };
-  direct_ep.send_packet_batch = [&direct](std::span<const PacketView> pkts) {
-    for (const PacketView& v : pkts) {
-      v.serialize_into(direct.media);
-      direct.seqs.insert(v.sequence());
-    }
-    return pkts.size();
-  };
-  direct_ep.send_datagram = [&direct](BytesView d) {
-    direct.control.emplace_back(d.begin(), d.end());
-    return true;
-  };
-  const ParticipantId direct_id = host.add_participant(std::move(direct_ep));
+  const ParticipantId direct_id = host.add_participant(direct.endpoint());
 
   // Relay root: the AH's second UDP participant is relay1's upstream.
-  HostEndpoint relay_ep;
-  relay_ep.kind = HostEndpoint::Kind::kUdp;
-  relay_ep.send_packet = [&relay1](const PacketView& v) {
-    relay1.on_upstream_packet(v);
-    return true;
-  };
-  relay_ep.send_packet_batch = [&relay1](std::span<const PacketView> pkts) {
+  Transport relay_ep;
+  relay_ep.send_batch = [&relay1](std::span<const PacketView> pkts) {
     return relay1.on_upstream_batch(pkts);
   };
-  relay_ep.send_datagram = [&relay1](BytesView d) {
-    relay1.on_upstream_datagram(Bytes(d.begin(), d.end()));
-    return true;
+  relay_ep.write = [&relay1](std::span<const BytesView> parts) {
+    relay1.on_upstream_datagram(Bytes(parts.front().begin(), parts.front().end()));
+    return parts.front().size();
   };
   const ParticipantId relay_id = host.add_participant(std::move(relay_ep));
   relay1.set_upstream([&host, relay_id](BytesView p) {

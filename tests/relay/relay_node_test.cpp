@@ -32,20 +32,15 @@ struct UdpLegProbe {
   std::vector<Bytes> media;
   std::vector<Bytes> control;
 
-  LegEndpoint endpoint() {
-    LegEndpoint ep;
-    ep.kind = LegEndpoint::Kind::kUdp;
-    ep.send_packet = [this](const PacketView& v) {
-      media.push_back(v.serialize());
-      return true;
-    };
-    ep.send_packet_batch = [this](std::span<const PacketView> pkts) {
+  Transport endpoint() {
+    Transport ep;
+    ep.send_batch = [this](std::span<const PacketView> pkts) {
       for (const PacketView& v : pkts) media.push_back(v.serialize());
       return pkts.size();
     };
-    ep.send_datagram = [this](BytesView d) {
-      control.emplace_back(d.begin(), d.end());
-      return true;
+    ep.write = [this](std::span<const BytesView> parts) {
+      control.emplace_back(parts.front().begin(), parts.front().end());
+      return parts.front().size();
     };
     return ep;
   }
@@ -363,9 +358,9 @@ TEST(RelayNode, BacklogGateShedsOnlyTheSlowTcpLeg) {
 
   std::size_t backlog = 0;
   Bytes slow_bytes;
-  LegEndpoint slow;
-  slow.kind = LegEndpoint::Kind::kTcp;
-  slow.write_gather = [&slow_bytes](std::span<const BytesView> parts) {
+  Transport slow;
+  slow.kind = Transport::Kind::kTcp;
+  slow.write = [&slow_bytes](std::span<const BytesView> parts) {
     std::size_t total = 0;
     for (const BytesView& p : parts) {
       slow_bytes.insert(slow_bytes.end(), p.begin(), p.end());
