@@ -6,8 +6,6 @@
 namespace ads {
 namespace {
 
-constexpr std::size_t kFirstHeader = CommonHeader::kSize + 8;  // + left + top
-
 void write_common(ByteWriter& out, RemotingType type, const RegionUpdate& msg,
                   bool first) {
   CommonHeader header;
@@ -26,46 +24,11 @@ FragmentType RegionUpdateFragment::type() const {
   return classify_fragment(marker, first);
 }
 
-std::vector<RegionUpdateFragment> fragment_region_update(const RegionUpdate& msg,
-                                                         std::size_t max_payload,
-                                                         RemotingType type) {
-  assert(max_payload > kFirstHeader);
-  std::vector<RegionUpdateFragment> out;
-
-  const std::size_t first_room = max_payload - kFirstHeader;
-  const std::size_t cont_room = max_payload - CommonHeader::kSize;
-
-  std::size_t offset = std::min(msg.content.size(), first_room);
-  {
-    RegionUpdateFragment frag;
-    ByteWriter w(kFirstHeader + offset);
-    write_common(w, type, msg, /*first=*/true);
-    w.u32(msg.left);
-    w.u32(msg.top);
-    w.bytes(BytesView(msg.content).first(offset));
-    frag.payload = w.take();
-    frag.marker = offset == msg.content.size();
-    out.push_back(std::move(frag));
-  }
-  while (offset < msg.content.size()) {
-    const std::size_t take = std::min(cont_room, msg.content.size() - offset);
-    RegionUpdateFragment frag;
-    ByteWriter w(CommonHeader::kSize + take);
-    write_common(w, type, msg, /*first=*/false);
-    w.bytes(BytesView(msg.content).subspan(offset, take));
-    frag.payload = w.take();
-    offset += take;
-    frag.marker = offset == msg.content.size();
-    out.push_back(std::move(frag));
-  }
-  return out;
-}
-
 std::vector<FragmentSpan> fragment_region_update_into(const RegionUpdate& msg,
                                                       std::size_t max_payload,
                                                       Bytes& dest,
                                                       RemotingType type) {
-  assert(max_payload > kFirstHeader);
+  assert(max_payload > kFirstFragmentHeader);
   std::vector<FragmentSpan> out;
   // ByteWriter's adopting constructor clears: stash any existing content and
   // re-write it first. The hot path (a cleared pooled buffer) has an empty
@@ -74,7 +37,7 @@ std::vector<FragmentSpan> fragment_region_update_into(const RegionUpdate& msg,
   ByteWriter w(std::move(dest));
   w.bytes(prefix);
 
-  const std::size_t first_room = max_payload - kFirstHeader;
+  const std::size_t first_room = max_payload - kFirstFragmentHeader;
   const std::size_t cont_room = max_payload - CommonHeader::kSize;
 
   std::size_t offset = std::min(msg.content.size(), first_room);
@@ -101,6 +64,21 @@ std::vector<FragmentSpan> fragment_region_update_into(const RegionUpdate& msg,
     out.push_back(span);
   }
   dest = w.take();
+  return out;
+}
+
+std::vector<RegionUpdateFragment> fragment_region_update(const RegionUpdate& msg,
+                                                         std::size_t max_payload,
+                                                         RemotingType type) {
+  Bytes stream;
+  const std::vector<FragmentSpan> spans =
+      fragment_region_update_into(msg, max_payload, stream, type);
+  std::vector<RegionUpdateFragment> out(spans.size());
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const auto first = stream.begin() + spans[i].offset;
+    out[i].payload.assign(first, first + spans[i].length);
+    out[i].marker = spans[i].marker;
+  }
   return out;
 }
 

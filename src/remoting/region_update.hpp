@@ -28,6 +28,10 @@ struct RegionUpdate {
   friend bool operator==(const RegionUpdate&, const RegionUpdate&) = default;
 };
 
+/// Bytes a first (or only) fragment spends before any content: the common
+/// header plus Left and Top. A fragmenting MTU must exceed it.
+inline constexpr std::size_t kFirstFragmentHeader = CommonHeader::kSize + 8;
+
 /// One RTP payload of a (possibly fragmented) RegionUpdate plus the marker
 /// bit the RTP packet must carry.
 struct RegionUpdateFragment {
@@ -38,7 +42,8 @@ struct RegionUpdateFragment {
 };
 
 /// Split `msg` into fragments whose payloads are each at most
-/// `max_payload` bytes (must exceed the 12-byte first-packet header).
+/// `max_payload` bytes (must exceed kFirstFragmentHeader). The fragments
+/// are fragment_region_update_into's windows, each copied out.
 /// A message that fits yields one kNotFragmented fragment. `type` selects
 /// the Table-1 message type: MousePointerInfo "is same as RegionUpdate …
 /// except they have different message types" (§5.2.4).
@@ -54,11 +59,10 @@ struct FragmentSpan {
   bool marker = false;       ///< closes the message (last fragment)
 };
 
-/// Zero-copy variant of fragment_region_update: appends the concatenated
-/// fragment payloads to `dest` (one contiguous stream, written once) and
-/// returns the per-fragment windows. Each window's bytes are identical to
-/// the corresponding fragment_region_update(...)[i].payload, so packets can
-/// be built as header-plus-view (ads::PacketView) into a shared buffer —
+/// The fragmenter: appends the concatenated fragment payloads to `dest`
+/// (one contiguous stream, written once) and returns the per-fragment
+/// windows, so packets can be built as header-plus-view (ads::PacketView)
+/// into a shared buffer —
 /// every field serialised here (window id, content payload type, origin,
 /// content) is participant-independent, which is what lets one stream feed
 /// a whole fan-out cohort.

@@ -41,6 +41,12 @@ TEST(AppHostOptions, ZeroMtuThrows) {
   AppHostOptions opts;
   opts.mtu_payload = 0;
   EXPECT_THROW(AppHost::validated(opts), std::invalid_argument);
+  // A RegionUpdate's first fragment spends 12 bytes on its header (common
+  // header + Left + Top): an MTU of 12 leaves no room for content.
+  opts.mtu_payload = 12;
+  EXPECT_THROW(AppHost::validated(opts), std::invalid_argument);
+  opts.mtu_payload = 13;
+  EXPECT_EQ(AppHost::validated(opts).mtu_payload, 13u);
 }
 
 TEST(AppHostOptions, MtuBeyondOneDatagramThrows) {
