@@ -96,20 +96,6 @@ inline Image workload_frame(std::string_view name, std::int64_t w, std::int64_t 
   return app->content();
 }
 
-/// Consecutive frames (before/after pairs) of a workload.
-inline std::vector<Image> workload_frames(std::string_view name, std::int64_t w,
-                                          std::int64_t h, int count,
-                                          std::uint64_t seed = 99) {
-  auto app = make_app(name, w, h, seed);
-  std::vector<Image> frames;
-  frames.reserve(static_cast<std::size_t>(count));
-  for (int t = 0; t < count; ++t) {
-    app->tick(static_cast<std::uint64_t>(t));
-    frames.push_back(app->content());
-  }
-  return frames;
-}
-
 inline double percentile(std::vector<double> values, double p) {
   if (values.empty()) return 0.0;
   std::sort(values.begin(), values.end());

@@ -5,7 +5,6 @@
 // each workload):
 //   * DEFLATE level sweep (LZ77 search depth / lazy matching)
 //   * forced block type: stored vs fixed vs dynamic Huffman
-//   * PNG adaptive filtering on vs off
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -13,7 +12,6 @@
 #include "bench_common.hpp"
 #include "codec/deflate.hpp"
 #include "codec/inflate.hpp"
-#include "codec/png.hpp"
 
 namespace {
 
@@ -83,25 +81,6 @@ void inflate_speed(benchmark::State& state) {
                           static_cast<std::int64_t>(input.size()));
 }
 
-void png_filters(benchmark::State& state) {
-  const bool adaptive = state.range(0) != 0;
-  const Image frame = workload_frame("document", 512, 384);
-  Bytes encoded;
-  for (auto _ : state) {
-    encoded = png_encode(frame, PngOptions{.deflate = {.level = 6},
-                                           .rgba = true,
-                                           .adaptive_filters = adaptive});
-    benchmark::DoNotOptimize(encoded);
-  }
-  state.counters["bytes"] = static_cast<double>(encoded.size());
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 512 * 384 *
-                          4);
-  record_counters("deflate",
-                  std::string("E9/png/adaptive_filters/") +
-                      (adaptive ? "on" : "off"),
-                  state.counters);
-}
-
 BENCHMARK(deflate_levels)
     ->Name("E9/deflate/level")
     ->Arg(0)
@@ -118,10 +97,5 @@ BENCHMARK(deflate_block_types)
     ->Arg(static_cast<int>(DeflateOptions::Block::kDynamic))
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(inflate_speed)->Name("E9/inflate")->Unit(benchmark::kMillisecond);
-BENCHMARK(png_filters)
-    ->Name("E9/png/adaptive_filters")  // 0=off, 1=on
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -10,14 +10,12 @@
 // while encode work stays constant.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "bench_common.hpp"
 #include "core/session.hpp"
 #include "image/metrics.hpp"
+#include "scenarios/scenarios.hpp"
 
 namespace {
 
@@ -103,118 +101,42 @@ BENCHMARK(fanout)
 // real codec run rather than a content-hash hit. The counters are exact:
 // on the uniform arm, unique encodes are cohorts x bands per tick, the
 // other N - 1 members' band requests are shared, and bytes staged and
-// band streams built per tick do not move with N.
+// band streams built per tick do not move with N
+// (FanoutGate.UniformBroadcastSharesEveryBandAndStagesFlatInN asserts it).
 //
 // The 4-rung spread drives the real closed loop: adaptation is enabled and
 // groups k = 1..3 receive lossy receiver reports for 3k warmup ticks, so
 // their AIMD budgets land on different quality rungs and the cohorts
 // split. Everything runs on the virtual clock with fixed seeds, so every
-// grid point is reproducible.
+// grid point is reproducible. The reported time is the measured ticks'.
 void broadcast(benchmark::State& state) {
   const int participants = static_cast<int>(state.range(0));
   const bool spread = state.range(1) != 0;
-  constexpr int kMeasuredTicks = 8;
-  const int warmup_ticks = spread ? 12 : 2;
-
-  AppHost::Stats before;
-  AppHost::Stats after;
-  double measured_ms = 0.0;
+  scenarios::BroadcastResult r;
   for (auto _ : state) {
-    state.PauseTiming();
-    EventLoop loop;
-    AppHostOptions opts;
-    opts.screen_width = 320;
-    opts.screen_height = 240;
-    opts.region_band_rows = 64;  // full-frame damage -> 4 bands per tick
-    opts.frame_interval_us = sim_ms(100);
-    opts.encode_threads = 0;
-    opts.encoded_cache_bytes = 0;
-    if (spread) {
-      opts.codec = ContentPt::kDct;
-      opts.adaptation.enabled = true;
-      opts.adaptation.decrease_holdoff_us = sim_ms(100);
-    }
-    AppHost host(loop, opts);
-    const WindowId w = host.wm().create({0, 0, 320, 240}, 1);
-    host.capturer().attach(w, std::make_unique<VideoApp>(320, 240, 5));
-
-    std::uint64_t datagrams = 0;
-    std::vector<ParticipantId> ids;
-    for (int i = 0; i < participants; ++i) {
-      Transport ep;
-      ep.send_batch = [&datagrams](std::span<const PacketView> batch) {
-        datagrams += batch.size();
-        return batch.size();
-      };
-      ep.write = [&datagrams](std::span<const BytesView> parts) {
-        ++datagrams;
-        return parts.front().size();
-      };
-      ids.push_back(host.add_participant(std::move(ep)));
-      PictureLossIndication pli;  // UDP joiners request their first frame
-      host.on_uplink_packet(ids.back(), pli.serialize());
-    }
-
-    for (int t = 0; t < warmup_ticks; ++t) {
-      if (spread) {
-        for (int i = 0; i < participants; ++i) {
-          const int rung_group = i % 4;
-          if (rung_group > 0 && t < 3 * rung_group) {
-            ReceiverReport rr;
-            ReportBlock block;
-            block.fraction_lost = 40;  // above the decrease threshold
-            rr.blocks.push_back(block);
-            host.on_uplink_packet(ids[static_cast<std::size_t>(i)],
-                                  rr.serialize());
-          }
-        }
-      }
-      host.tick();
-      loop.run_until(loop.now() + opts.frame_interval_us);
-    }
-
-    before = host.stats();
-    const auto start = std::chrono::steady_clock::now();
-    state.ResumeTiming();
-    for (int t = 0; t < kMeasuredTicks; ++t) {
-      host.tick();
-      loop.run_until(loop.now() + opts.frame_interval_us);
-    }
-    state.PauseTiming();
-    measured_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-    after = host.stats();
-    state.ResumeTiming();
+    r = scenarios::run_broadcast(participants, spread);
+    state.SetIterationTime(r.measured_ms / 1000.0);
   }
 
-  const double ticks = kMeasuredTicks;
-  const auto delta = [&](std::uint64_t AppHost::Stats::*m) {
-    return static_cast<double>(after.*m - before.*m);
-  };
+  using S = AppHost::Stats;
+  const double ticks = scenarios::BroadcastResult::kMeasuredTicks;
   state.counters["participants"] = participants;
-  state.counters["per_tick_ms"] = measured_ms / ticks;
-  state.counters["cohorts_per_tick"] = delta(&AppHost::Stats::fanout_cohorts) / ticks;
-  state.counters["encodes_unique_per_tick"] =
-      delta(&AppHost::Stats::fanout_encodes_unique) / ticks;
-  state.counters["encodes_shared_per_tick"] =
-      delta(&AppHost::Stats::fanout_encodes_shared) / ticks;
-  state.counters["region_updates_per_tick"] =
-      delta(&AppHost::Stats::region_updates_sent) / ticks;
-  state.counters["bands_per_frame"] = 4;
+  state.counters["per_tick_ms"] = r.measured_ms / ticks;
+  state.counters["cohorts_per_tick"] = r.per_tick(&S::fanout_cohorts);
+  state.counters["encodes_unique_per_tick"] = r.per_tick(&S::fanout_encodes_unique);
+  state.counters["encodes_shared_per_tick"] = r.per_tick(&S::fanout_encodes_shared);
+  state.counters["region_updates_per_tick"] = r.per_tick(&S::region_updates_sent);
+  state.counters["bands_per_frame"] = scenarios::BroadcastResult::kBandsPerFrame;
   // Zero-copy datapath: payload bytes physically staged per tick (each
   // cohort band is serialised once) and packet assembly throughput over the
   // measured window.
-  state.counters["bytes_copied_per_tick"] =
-      delta(&AppHost::Stats::payload_bytes_copied) / ticks;
-  state.counters["packets_built_per_tick"] =
-      delta(&AppHost::Stats::packets_built) / ticks;
+  state.counters["bytes_copied_per_tick"] = r.per_tick(&S::payload_bytes_copied);
+  state.counters["packets_built_per_tick"] = r.per_tick(&S::packets_built);
   state.counters["packets_built_per_second"] =
-      measured_ms > 0.0
-          ? delta(&AppHost::Stats::packets_built) / (measured_ms / 1000.0)
+      r.measured_ms > 0.0
+          ? r.per_tick(&S::packets_built) * ticks / (r.measured_ms / 1000.0)
           : 0.0;
-  state.counters["band_streams_built_per_tick"] =
-      delta(&AppHost::Stats::band_streams_built) / ticks;
+  state.counters["band_streams_built_per_tick"] = r.per_tick(&S::band_streams_built);
   bench::record_counters(
       "fanout",
       std::string("E17/broadcast/") + (spread ? "rung_spread/" : "uniform/") +
@@ -226,6 +148,7 @@ BENCHMARK(broadcast)
     ->Name("E17/broadcast")
     ->ArgsProduct({{1, 4, 16, 64, 256, 512}, {0, 1}})
     ->Unit(benchmark::kMillisecond)
+    ->UseManualTime()
     ->Iterations(1);
 
 }  // namespace

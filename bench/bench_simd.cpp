@@ -1,5 +1,5 @@
-// E13s — SIMD hot-kernel microbenches (companion to E13's band-encode
-// macro bench).
+// E13s — SIMD hot-kernel microbenches (the band-encode effect is measured
+// end to end by sharebench's codec.* layer metrics).
 //
 // Claims under test:
 //  * the runtime-dispatched kernels (util/simd.hpp) beat their scalar

@@ -103,8 +103,20 @@ int main() {
   const RunResult without_rtx = run(/*retransmissions=*/false);
   report("retransmissions=no (PLI-only recovery, §5.3.1)", without_rtx);
 
-  std::puts("\nNACK repair localises recovery; without it the participant "
-            "falls back to\nfull-screen PLI refreshes, costing more AH bytes "
-            "during loss episodes.");
+  std::printf("\nNACK repair: %llu PLIs and %.2fx the AH bytes of PLI-only "
+              "recovery (%llu PLIs).\n",
+              static_cast<unsigned long long>(with_rtx.plis),
+              static_cast<double>(with_rtx.bytes) /
+                  static_cast<double>(without_rtx.bytes),
+              static_cast<unsigned long long>(without_rtx.plis));
+  if (with_rtx.plis > without_rtx.plis || with_rtx.bytes > without_rtx.bytes) {
+    std::puts("NACK repair should localise recovery and save full-screen "
+              "refreshes; on this link\nit costs more. Known cause: the "
+              "participant re-arms its NACK every 15 ms\nwhatever the RTT, so "
+              "at 80 ms RTT a sequence escalates to a PLI before its\nfirst "
+              "repair can arrive (ROADMAP.md, item 3).");
+  } else {
+    std::puts("NACK repair localised recovery and saved full-screen refreshes.");
+  }
   return (with_rtx.final_diff == 0 && without_rtx.final_diff == 0) ? 0 : 1;
 }

@@ -63,22 +63,12 @@ void png_encode_into(const Image& img, const PngOptions& opts, Bytes& dest,
                      EncodeScratch& scratch) {
   const std::size_t width = static_cast<std::size_t>(img.width());
   const std::size_t height = static_cast<std::size_t>(img.height());
-  const std::size_t bpp = opts.rgba ? 4 : 3;
+  static_assert(sizeof(Pixel) == 4, "rows serialise as packed RGBA8");
+  constexpr std::size_t bpp = 4;
   const std::size_t stride = width * bpp;
 
-  // Serialise pixel rows.
-  Bytes& raster = scratch.staging;
-  raster.resize(height * stride);
-  for (std::size_t y = 0; y < height; ++y) {
-    const auto row = img.row(static_cast<std::int64_t>(y));
-    std::uint8_t* out = &raster[y * stride];
-    for (std::size_t x = 0; x < width; ++x) {
-      out[x * bpp + 0] = row[x].r;
-      out[x * bpp + 1] = row[x].g;
-      out[x * bpp + 2] = row[x].b;
-      if (opts.rgba) out[x * bpp + 3] = row[x].a;
-    }
-  }
+  // Packed RGBA8 rows are already the PNG colour-type-6 raster.
+  const auto* raster = reinterpret_cast<const std::uint8_t*>(img.pixels().data());
 
   // Filter: each scanline is prefixed with its filter type byte.
   Bytes& filtered = scratch.filtered;
@@ -86,14 +76,13 @@ void png_encode_into(const Image& img, const PngOptions& opts, Bytes& dest,
   Bytes& trial = scratch.row;
   trial.resize(stride);
   for (std::size_t y = 0; y < height; ++y) {
-    const std::uint8_t* row = &raster[y * stride];
-    const std::uint8_t* prior = y > 0 ? &raster[(y - 1) * stride] : nullptr;
     std::uint8_t* dst = &filtered[y * (stride + 1)];
-    if (!opts.adaptive_filters || stride == 0) {
+    if (stride == 0) {
       dst[0] = 0;
-      if (stride) std::memcpy(dst + 1, row, stride);
       continue;
     }
+    const std::uint8_t* row = raster + y * stride;
+    const std::uint8_t* prior = y > 0 ? row - stride : nullptr;
     int best_type = 0;
     std::uint64_t best_score = ~0ull;
     for (int type = 0; type < 5; ++type) {
@@ -115,7 +104,7 @@ void png_encode_into(const Image& img, const PngOptions& opts, Bytes& dest,
   ihdr.u32(static_cast<std::uint32_t>(width));
   ihdr.u32(static_cast<std::uint32_t>(height));
   ihdr.u8(8);                          // bit depth
-  ihdr.u8(opts.rgba ? 6 : 2);          // colour type: RGBA or RGB
+  ihdr.u8(6);                          // colour type: RGBA
   ihdr.u8(0);                          // compression: deflate
   ihdr.u8(0);                          // filter method 0
   ihdr.u8(0);                          // no interlace

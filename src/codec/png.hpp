@@ -1,7 +1,7 @@
 // PNG encoder/decoder (subset of RFC 2083 sufficient for screen remoting):
-// 8-bit RGB and RGBA, filters 0-4 with per-row minimum-sum-of-absolute-
-// differences selection, single IDAT, no interlacing. Built on our own
-// zlib/DEFLATE implementation.
+// the encoder writes 8-bit RGBA with filters 0-4 chosen per row by minimum
+// sum of absolute differences, single IDAT, no interlacing; the decoder also
+// reads 8-bit RGB. Built on our own zlib/DEFLATE implementation.
 #pragma once
 
 #include "codec/deflate.hpp"
@@ -11,10 +11,6 @@ namespace ads {
 
 struct PngOptions {
   DeflateOptions deflate;
-  bool rgba = true;  ///< false = strip alpha, write colour type 2 (RGB)
-  /// Disable the adaptive filter pass (ablation for bench E9); all rows use
-  /// filter 0 (None).
-  bool adaptive_filters = true;
 };
 
 Bytes png_encode(const Image& img, const PngOptions& opts = {});

@@ -240,16 +240,20 @@ void SharingSession::reconnect_tcp(Connection& c, TcpLinkConfig link) {
   ++reconnects_;
 }
 
+void SharingSession::bind_link(UdpChannelOptions& down, UdpChannelOptions& up) {
+  if (down.seed == 1) down.seed = ++link_seed_;
+  if (up.seed == 1) up.seed = ++link_seed_;
+  down.telemetry = &host_.telemetry();
+  up.telemetry = &host_.telemetry();
+}
+
 SharingSession::Connection& SharingSession::add_udp_participant(
     ParticipantOptions opts, UdpLinkConfig link) {
   auto conn = std::make_unique<Connection>();
   Connection* c = conn.get();
 
   opts.transport = ParticipantOptions::Transport::kUdp;
-  if (link.down.seed == 1) link.down.seed = ++link_seed_;
-  if (link.up.seed == 1) link.up.seed = ++link_seed_;
-  link.down.telemetry = &host_.telemetry();
-  link.up.telemetry = &host_.telemetry();
+  bind_link(link.down, link.up);
 
   c->down_udp = std::make_unique<UdpChannel>(loop_, link.down);
   c->up_udp = std::make_unique<UdpChannel>(loop_, link.up);
@@ -377,32 +381,7 @@ bool SharingSession::relay_in_subtree(const RelayHandle& candidate,
 
 SharingSession::RelayHandle& SharingSession::add_relay(
     relay::RelayOptions opts, UdpLinkConfig link) {
-  auto handle = std::make_unique<RelayHandle>();
-  RelayHandle* r = handle.get();
-
-  if (link.down.seed == 1) link.down.seed = ++link_seed_;
-  if (link.up.seed == 1) link.up.seed = ++link_seed_;
-  link.down.telemetry = &host_.telemetry();
-  link.up.telemetry = &host_.telemetry();
-  // Distinct per-node identity and metrics namespace within one session.
-  opts.telemetry = &host_.telemetry();
-  opts.metrics_prefix = "relay.r" + std::to_string(relays_.size() + 1) + ".";
-  opts.seed ^= (relays_.size() + 1) << 20;
-  // The resolved configs survive in the handle so a cold restart rebuilds
-  // the same deterministic node and channels.
-  r->opts = opts;
-  r->link = link;
-
-  r->down = std::make_unique<UdpChannel>(loop_, link.down);
-  r->up = std::make_unique<UdpChannel>(loop_, link.up);
-  r->node = std::make_unique<relay::RelayNode>(loop_, std::move(opts));
-
-  attach_relay_upstream(*r);
-  wire_relay(r);
-  r->node->start();
-
-  relays_.push_back(std::move(handle));
-  return *relays_.back();
+  return add_relay_node(nullptr, std::move(opts), link, {});
 }
 
 SharingSession::RelayHandle& SharingSession::add_relay_child(
@@ -411,17 +390,23 @@ SharingSession::RelayHandle& SharingSession::add_relay_child(
   if (parent.depth + 1 > kMaxRelayDepth) {
     throw std::invalid_argument("SharingSession: relay cascade too deep");
   }
+  return add_relay_node(&parent, std::move(opts), link, leg);
+}
+
+SharingSession::RelayHandle& SharingSession::add_relay_node(
+    RelayHandle* parent, relay::RelayOptions opts, UdpLinkConfig link,
+    relay::LegConfig leg) {
   auto handle = std::make_unique<RelayHandle>();
   RelayHandle* r = handle.get();
-  r->parent = &parent;
+  r->parent = parent;
 
-  if (link.down.seed == 1) link.down.seed = ++link_seed_;
-  if (link.up.seed == 1) link.up.seed = ++link_seed_;
-  link.down.telemetry = &host_.telemetry();
-  link.up.telemetry = &host_.telemetry();
+  bind_link(link.down, link.up);
+  // Distinct per-node identity and metrics namespace within one session.
   opts.telemetry = &host_.telemetry();
   opts.metrics_prefix = "relay.r" + std::to_string(relays_.size() + 1) + ".";
   opts.seed ^= (relays_.size() + 1) << 20;
+  // The resolved configs survive in the handle so a cold restart rebuilds
+  // the same deterministic node and channels.
   r->opts = opts;
   r->link = link;
   r->leg_cfg = leg;
@@ -446,10 +431,7 @@ SharingSession::RelayViewer& SharingSession::add_relay_viewer(
   v->relay = &relay;
 
   opts.transport = ParticipantOptions::Transport::kUdp;
-  if (link.down.seed == 1) link.down.seed = ++link_seed_;
-  if (link.up.seed == 1) link.up.seed = ++link_seed_;
-  link.down.telemetry = &host_.telemetry();
-  link.up.telemetry = &host_.telemetry();
+  bind_link(link.down, link.up);
   v->leg_cfg = leg;
 
   v->down = std::make_unique<UdpChannel>(loop_, link.down);
@@ -629,10 +611,7 @@ SharingSession::MulticastMember& SharingSession::add_multicast_member(
     UdpChannelOptions up) {
   auto member = std::make_unique<MulticastMember>();
   opts.transport = ParticipantOptions::Transport::kUdp;
-  if (down.seed == 1) down.seed = ++link_seed_;
-  if (up.seed == 1) up.seed = ++link_seed_;
-  down.telemetry = &host_.telemetry();
-  up.telemetry = &host_.telemetry();
+  bind_link(down, up);
 
   UdpChannel& down_channel = mc.group->add_member(down);
   member->up = std::make_unique<UdpChannel>(loop_, up);

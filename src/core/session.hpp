@@ -248,6 +248,12 @@ class SharingSession {
   /// Tear down a connection's channels (both transports); the Participant
   /// object survives with its replica and stats.
   void teardown_links(Connection& c);
+  /// Draw unset (== 1) link seeds from the session's sequence, down first,
+  /// and point both directions at the session telemetry.
+  void bind_link(UdpChannelOptions& down, UdpChannelOptions& up);
+  /// The shared body of add_relay (parent null) and add_relay_child.
+  RelayHandle& add_relay_node(RelayHandle* parent, relay::RelayOptions opts,
+                              UdpLinkConfig link, relay::LegConfig leg);
   /// Install `r`'s channel receivers and node callbacks. Receivers read
   /// r->parent / r->leg / r->upstream_id at delivery time, so re-parenting
   /// never re-wires a channel.

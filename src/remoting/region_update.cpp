@@ -114,9 +114,13 @@ Result<std::optional<RegionUpdate>> RegionUpdateReassembler::feed(BytesView payl
     partial_.left = *left;
     partial_.top = *top;
     in_progress_ = true;
+    started_ = true;
   } else {
     if (!in_progress_) {
-      // Continuation without a start: the first packet was lost.
+      // Before the first start the stream opened mid-message (a late
+      // joiner): the fragment belongs to nobody and is not an error. Later
+      // on, a continuation without a start means the first packet was lost.
+      if (!started_) return std::optional<RegionUpdate>{};
       return ParseError::kBadState;
     }
     if (header->window_id != partial_.window_id ||

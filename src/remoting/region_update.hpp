@@ -97,6 +97,7 @@ class RegionUpdateReassembler {
   RemotingType msg_type_;
   std::size_t max_bytes_;
   bool in_progress_ = false;
+  bool started_ = false;  ///< a FirstPacket fragment has been seen
   RegionUpdate partial_;
   std::uint64_t completed_ = 0;
   std::uint64_t aborted_ = 0;

@@ -9,7 +9,7 @@
 // construction; the FP kernels use explicit mul/add intrinsics in scalar
 // order and never fuse, so IEEE-754 determinism carries the identity).
 // The `_scalar` variants stay exported as the golden reference for the
-// differential tests and the E13 microbenches.
+// differential tests and the E13s microbenches.
 //
 // Dispatch policy: the implementation level is chosen once per process from
 // CPUID (AVX2 > SSE4.2+PCLMUL > scalar), clamped by the `ADS_SIMD` CMake

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "image/metrics.hpp"
 #include "util/prng.hpp"
 
 namespace ads {
@@ -64,29 +63,6 @@ TEST(Png, LosslessRoundTripNoise) {
   auto out = png_decode(png_encode(img));
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(*out, img);
-}
-
-TEST(Png, RgbModeDropsAlphaOnly) {
-  Image img = gradient(20, 20);
-  for (auto& p : img.pixels()) p.a = 77;
-  auto out = png_decode(png_encode(img, PngOptions{.deflate = {}, .rgba = false, .adaptive_filters = true}));
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(diff_pixel_count(*out, img), 0);  // RGB identical
-  EXPECT_EQ(out->at(0, 0).a, 255);            // alpha reset
-}
-
-TEST(Png, NonAdaptiveFiltersStillLossless) {
-  const Image img = gradient(31, 29);
-  auto out = png_decode(png_encode(img, PngOptions{.deflate = {}, .rgba = true, .adaptive_filters = false}));
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(*out, img);
-}
-
-TEST(Png, AdaptiveFiltersHelpOnGradients) {
-  const Image img = gradient(256, 256);
-  const std::size_t adaptive = png_encode(img).size();
-  const std::size_t plain = png_encode(img, PngOptions{.deflate = {}, .rgba = true, .adaptive_filters = false}).size();
-  EXPECT_LT(adaptive, plain);
 }
 
 TEST(Png, FlatColourCompressesHard) {

@@ -11,12 +11,14 @@
 // and forced a second checkpoint encode for the same wave.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 
 #include "capture/apps.hpp"
 #include "core/session.hpp"
 #include "image/metrics.hpp"
 #include "rtp/rtcp.hpp"
+#include "scenarios/scenarios.hpp"
 
 namespace ads {
 namespace {
@@ -44,46 +46,47 @@ Image replica_of(const SharingSession::Connection& conn, const Image& truth) {
 }
 
 TEST(LateJoinCohort, FlashCrowdWaveSharesOneBundleEncode) {
-  SharingSession session(snap_host());
-  AppHost& host = session.host();
-  const WindowId w = host.wm().create({10, 10, 128, 96}, 1);
-  host.capturer().attach(w, std::make_unique<SlideshowApp>(128, 96, 3));
-  host.start();
-  session.run_for(sim_ms(500));  // stream already warm when the crowd hits
-
-  // Eight joiners in one instant: their PLIs all land inside one refresh
-  // window and the whole cohort is served from a single checkpoint encode.
-  constexpr int kCrowd = 8;
-  // The wave is fully scripted: disable the starvation retry ladder, whose
-  // organic re-PLI would land after host.stop() and open a second (never
-  // admitted) window that has nothing to do with the join wave itself.
-  ParticipantOptions popts;
-  popts.starvation_timeout_us = 0;
-  std::vector<SharingSession::Connection*> crowd;
-  for (int i = 0; i < kCrowd; ++i) {
-    crowd.push_back(&session.add_udp_participant(popts, clean_link()));
+  // The E19 flood (bench_latejoin_flood): a static 640×480 session, and a
+  // cohort of N joiners lands inside one refresh window. The snapshot arm
+  // serves the whole cohort from one checkpoint encode; the naive arm (the
+  // §4.4 per-joiner refresh) plans a full screen of bands per joiner.
+  std::map<int, scenarios::FloodResult> snapshot;
+  std::map<int, scenarios::FloodResult> naive;
+  for (const int n : {4, 16}) {
+    const scenarios::FloodResult& snap = snapshot[n] = scenarios::run_flood(n, true);
+    const scenarios::FloodResult& plain = naive[n] = scenarios::run_flood(n, false);
+    const auto un = static_cast<std::uint64_t>(n);
+    // Everybody actually joined, on both arms, and decoded the truth.
+    EXPECT_EQ(snap.joined, n);
+    EXPECT_EQ(plain.joined, n);
+    for (const auto* r : {&snap, &plain}) {
+      EXPECT_EQ(r->replicas_diverged, 0) << n;
+      EXPECT_EQ(r->decode_errors, 0u) << n;
+    }
+    // ≤1 cohort encode per join wave: one window, one bundle, zero
+    // fallbacks, every joiner served from the shared bundle.
+    EXPECT_EQ(snap.snapshot.windows_opened, 1u) << n;
+    EXPECT_LE(snap.snapshot.bundles_built, 1u) << n;
+    EXPECT_EQ(snap.snapshot.bundles_built, 1u) << n;  // and it was built
+    EXPECT_EQ(snap.snapshot.bundles_served, un) << n;
+    EXPECT_GE(snap.snapshot.plis_absorbed, un - 1) << n;
+    EXPECT_GT(snap.snapshot.encodes_saved, 0u) << n;
+    EXPECT_EQ(snap.host.join_admissions, un) << n;
+    EXPECT_EQ(snap.host.join_shared_refreshes, un) << n;
+    EXPECT_EQ(snap.host.join_fallback_refreshes, 0u) << n;
   }
-  for (auto* c : crowd) c->participant->join();
-  session.run_for(sim_sec(2));
-  host.stop();
-  session.run_for(sim_sec(1));
-
-  const auto& sn = host.snapshot_service().stats();
-  EXPECT_EQ(sn.windows_opened, 1u);
-  EXPECT_EQ(sn.bundles_built, 1u);  // ≤1 cohort encode for the whole wave
-  EXPECT_EQ(sn.bundles_served, static_cast<std::uint64_t>(kCrowd));
-  EXPECT_GE(sn.plis_absorbed, static_cast<std::uint64_t>(kCrowd - 1));
-  EXPECT_GT(sn.encodes_saved, 0u);
-  EXPECT_EQ(host.stats().join_admissions, static_cast<std::uint64_t>(kCrowd));
-  EXPECT_EQ(host.stats().join_shared_refreshes,
-            static_cast<std::uint64_t>(kCrowd));
-  EXPECT_EQ(host.stats().join_fallback_refreshes, 0u);
-
-  const Image& truth = host.capturer().last_frame();
-  for (auto* c : crowd) {
-    EXPECT_EQ(diff_pixel_count(truth, replica_of(*c, truth)), 0);
-    EXPECT_EQ(c->participant->stats().decode_errors, 0u);
-  }
+  // Flat vs linear AH refresh work: the snapshot arm's encoder requests do
+  // not move between N=4 and N=16; the naive arm's refresh bands
+  // (cohort-planned, unique + shared) are exactly linear in the cohort. Its
+  // encoder requests are not: the cohort encode asks only for the distinct
+  // bands of a tick.
+  const std::uint64_t s4 = snapshot[4].bands_requested_wave;
+  const std::uint64_t s16 = snapshot[16].bands_requested_wave;
+  const std::uint64_t n4 = naive[4].refresh_bands_wave;
+  const std::uint64_t n16 = naive[16].refresh_bands_wave;
+  EXPECT_EQ(s4, s16);
+  EXPECT_EQ(n16, 4 * n4);
+  EXPECT_GT(n4, s4);
 }
 
 // The refresh-storm regression (finalisation-anchored window): demand at the

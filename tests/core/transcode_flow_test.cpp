@@ -58,7 +58,8 @@ TEST(TranscodeFlow, OneEncodePerGeometryRungCohortPerTick) {
   // Direct-host harness: five viewers across three device classes, all on
   // the same codec/MTU, admitted in one tick. The cohort planner must form
   // exactly one cohort per distinct geometry and encode each cohort's bands
-  // once — extra encodes mean the geometry key leaked out of the plan.
+  // once — extra encodes mean the geometry key leaked out of the plan. This
+  // is E20's deterministic cohort gate (EXPERIMENTS.md).
   EventLoop loop;
   AppHostOptions opts = host_opts();
   AppHost host(loop, opts);
@@ -89,9 +90,11 @@ TEST(TranscodeFlow, OneEncodePerGeometryRungCohortPerTick) {
   // The scaler materialised each non-identity geometry exactly once.
   EXPECT_EQ(host.scaler().stats().frames_scaled, 2u);
 
-  // A static tick adds no encodes and no scaled frames.
+  // A static tick adds no cohorts, no encodes and no scaled frames.
   host.tick();
+  EXPECT_EQ(host.stats().fanout_cohorts, 3u);
   EXPECT_EQ(host.stats().fanout_encodes_unique, 7u);
+  EXPECT_EQ(host.stats().fanout_encodes_shared, 5u);
   EXPECT_EQ(host.scaler().stats().frames_scaled, 2u);
 
   // Per-class byte accounting saw every class, and the quarter cohort paid

@@ -127,9 +127,33 @@ TEST(Reassembler, ContinuationWithoutStartIsBadState) {
   const RegionUpdate msg = sample(5000);
   auto frags = fragment_region_update(msg, 1200);
   RegionUpdateReassembler reasm;
+  ASSERT_TRUE(reasm.feed(frags[0].payload, frags[0].marker).ok());
+  reasm.reset();  // the rest of the message was lost
   auto result = reasm.feed(frags[1].payload, frags[1].marker);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error(), ParseError::kBadState);
+}
+
+TEST(Reassembler, ContinuationBeforeFirstStartIsDroppedSilently) {
+  // A late joiner's stream can open mid-message: the tail of that message
+  // is not an error, and the next whole message reassembles normally.
+  const RegionUpdate msg = sample(5000);
+  auto frags = fragment_region_update(msg, 1200);
+  RegionUpdateReassembler reasm;
+  for (std::size_t i = 1; i < frags.size(); ++i) {
+    auto result = reasm.feed(frags[i].payload, frags[i].marker);
+    ASSERT_TRUE(result.ok()) << i;
+    EXPECT_FALSE(result->has_value()) << i;
+  }
+  EXPECT_EQ(reasm.messages_aborted(), 0u);
+  std::optional<RegionUpdate> whole;
+  for (const auto& f : frags) {
+    auto result = reasm.feed(f.payload, f.marker);
+    ASSERT_TRUE(result.ok());
+    if (result->has_value()) whole = std::move(**result);
+  }
+  ASSERT_TRUE(whole.has_value());
+  EXPECT_EQ(*whole, msg);
 }
 
 TEST(Reassembler, NewStartAbortsOldMessage) {
