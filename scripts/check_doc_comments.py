@@ -17,7 +17,8 @@ from pathlib import Path
 
 CHECKED_DIRS = ["src/core", "src/net", "src/relay", "src/snapshot", "src/transcode"]
 # Single headers checked outside those directories.
-CHECKED_FILES = ["src/rtp/egress.hpp"]
+CHECKED_FILES = ["src/rtp/egress.hpp", "src/capture/screen_capturer.hpp",
+                 "src/image/damage.hpp"]
 
 TYPE_RE = re.compile(r"^(template\s*<[^>]*>\s*)?(struct|class|enum(\s+class)?)\s+(\w+)")
 # A function-ish member: optionally-qualified return type, name, open paren.

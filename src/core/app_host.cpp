@@ -472,9 +472,8 @@ const transcode::OutputGeometry* AppHost::participant_geometry(
 void AppHost::set_screen_size(std::int64_t width, std::int64_t height) {
   capturer_.set_screen_size(width, height);
   // Keep the validated options in sync with the live framebuffer; the next
-  // tick()'s frame-size watches handle the rest (full damage via the
-  // DamageTracker resize path, snapshot invalidation in snapshot_stage, and
-  // the re-clamped pointer overlay resend).
+  // tick()'s resize check handles the rest (full damage, snapshot
+  // invalidation and the re-clamped pointer overlay resend).
   opts_.screen_width = capturer_.width();
   opts_.screen_height = capturer_.height();
 }
@@ -955,13 +954,6 @@ void AppHost::snapshot_stage(const std::vector<MoveRectangle>& scrolls,
                              const std::vector<Rect>& damage) {
   const Image& frame = capturer_.last_frame();
   if (snapshot_.enabled()) {
-    // A geometry change makes every checkpoint unservable (bundles cover
-    // the old bounds); drop them all before window maintenance.
-    if (frame.width() != snap_frame_w_ || frame.height() != snap_frame_h_) {
-      if (snap_frame_w_ != 0 || snap_frame_h_ != 0) snapshot_.invalidate();
-      snap_frame_w_ = frame.width();
-      snap_frame_h_ = frame.height();
-    }
     snapshot_.begin_tick(loop_.now());
     // This tick's churn lands in the deltas of bundles built on earlier
     // ticks. A bundle built later this tick starts with an empty delta
@@ -1064,18 +1056,18 @@ void AppHost::tick() {
   // output geometry for everything this tick sends.
   scaler_.begin_tick();
 
-  // Host resize watch: the clamped pointer position moves with the bounds,
-  // so every participant's overlay re-arms — a pointer parked at the old
-  // bottom-right corner must be re-sent re-clamped into the new frame.
-  if (frame.width() != last_frame_w_ || frame.height() != last_frame_h_) {
-    if (last_frame_w_ != 0 || last_frame_h_ != 0) {
-      for (auto& [id, p] : participants_) {
-        p.pointer_dirty = true;
-        p.pointer_icon_dirty = true;
-      }
+  // Host resize (display-mode change), checked once: the capturer reports
+  // the whole new frame as damage and no scroll is detected across it; the
+  // clamped pointer position moves with the bounds, so every participant's
+  // overlay re-arms (a pointer parked at the old bottom-right corner must be
+  // re-sent re-clamped into the new frame); and every checkpoint bundle
+  // covers the old bounds, so none is servable any more.
+  if (capture.resized) {
+    for (auto& [id, p] : participants_) {
+      p.pointer_dirty = true;
+      p.pointer_icon_dirty = true;
     }
-    last_frame_w_ = frame.width();
-    last_frame_h_ = frame.height();
+    snapshot_.invalidate();
   }
 
   // WindowManagerInfo trigger: any window-manager change (§5.2.1).
@@ -1085,23 +1077,23 @@ void AppHost::tick() {
   }
 
   // Scroll pass (§5.2.3): find per-window vertical scrolls against the
-  // previously exported frame, verify the replay is pixel-exact, and apply
-  // the move to previous_frame_ so the residual diff below shrinks to the
-  // newly exposed strip.
+  // previously exported frame and replay each on it when the moved pixels
+  // match the new frame exactly, so the residual damage below shrinks to
+  // the newly exposed strip. Source and destination both lie inside the
+  // window's on-screen area, so comparing the source's pixels in the
+  // previous frame with the destination's in this one verifies the move
+  // before it is applied.
   std::vector<MoveRectangle> scrolls;
-  const bool have_previous = !previous_frame_.empty() &&
-                             previous_frame_.width() == frame.width() &&
-                             previous_frame_.height() == frame.height();
-  if (opts_.use_move_rectangle && have_previous) {
+  if (opts_.use_move_rectangle && !capture.resized) {
     telemetry::ScopedSpan span(tel_->trace, "ah.scroll_detect");
+    const Image& previous = capturer_.previous_frame();
     for (const Window& w : wm_.shared_windows()) {
       const Rect area = intersect(w.frame, frame.bounds());
-      auto match = detect_scroll(previous_frame_, frame, area);
+      auto match = detect_scroll(previous, frame, area);
       if (!match) continue;
       const Rect dest = match->source.translated(0, match->dy);
-      Image replay = previous_frame_;
-      replay.move_rect(match->source, {dest.left, dest.top});
-      if (hash_rect(replay, dest) != hash_rect(frame, dest)) continue;
+      if (hash_rect(previous, match->source) != hash_rect(frame, dest)) continue;
+      capturer_.move_previous(match->source, {dest.left, dest.top});
 
       MoveRectangle mr;
       mr.window_id = w.id;
@@ -1112,21 +1104,14 @@ void AppHost::tick() {
       mr.dest_left = static_cast<std::uint32_t>(dest.left);
       mr.dest_top = static_cast<std::uint32_t>(dest.top);
       scrolls.push_back(mr);
-      previous_frame_ = std::move(replay);
     }
   }
 
-  // Residual damage against (post-move) previous frame.
-  std::vector<Rect> damage;
-  {
+  // Residual damage against the (post-move) previous frame.
+  const std::vector<Rect> damage = [this] {
     telemetry::ScopedSpan span(tel_->trace, "ah.damage");
-    if (have_previous) {
-      damage = diff_rects(previous_frame_, frame, opts_.damage_tile);
-    } else if (!frame.empty()) {
-      damage = {frame.bounds()};
-    }
-    previous_frame_ = frame;
-  }
+    return capturer_.damage();
+  }();
 
   // Flash-crowd snapshot + record stage: refresh-window/bundle maintenance
   // and the on-disk checkpoint + update stream, both fed from this tick's

@@ -223,8 +223,9 @@ class AppHost {
   const transcode::OutputGeometry* participant_geometry(ParticipantId id) const;
 
   /// Host display-mode change: resize the desktop framebuffer. The next tick
-  /// reports full damage (DamageTracker resize fast path), invalidates every
-  /// snapshot bundle and re-sends a re-clamped pointer overlay to everyone.
+  /// sees the resize once: it sends the whole frame as damage, invalidates
+  /// every snapshot bundle and re-sends a re-clamped pointer overlay to
+  /// everyone.
   void set_screen_size(std::int64_t width, std::int64_t height);
 
   /// Begin the periodic capture/transmit loop on the event loop.
@@ -500,20 +501,12 @@ class AppHost {
   Image pointer_icon_;
 
   // Output-geometry transcode stage (docs/TRANSCODE.md): per-tick scaled
-  // frame cache, and the previous frame size so a host resize re-arms every
-  // participant's pointer overlay (the re-clamped position must be re-sent).
+  // frame cache.
   transcode::FrameScaler scaler_;
-  std::int64_t last_frame_w_ = 0;
-  std::int64_t last_frame_h_ = 0;
-
-  // Scroll detection needs the previous exported frame.
-  Image previous_frame_;
   std::uint64_t last_wmi_revision_ = ~0ull;
 
-  // Snapshot geometry watch (invalidate bundles on a resize) and session
-  // recorder bookkeeping: what the on-disk replay state already reflects.
-  std::int64_t snap_frame_w_ = 0;
-  std::int64_t snap_frame_h_ = 0;
+  // Session recorder bookkeeping: what the on-disk replay state already
+  // reflects.
   bool recorded_initial_checkpoint_ = false;
   SimTime last_checkpoint_rec_us_ = 0;
   std::uint64_t recorded_wmi_revision_ = ~0ull;

@@ -2,26 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
-// TU-wide allocation counter so tests can assert the steady-state
-// DamageTracker path is allocation-free (the tracker runs every frame tick;
-// a per-tick allocation would be a regression the compiler can't catch).
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-
 namespace ads {
 namespace {
 
@@ -38,67 +18,66 @@ bool covers(const std::vector<Rect>& rects, Point p) {
   return false;
 }
 
-TEST(DamageTracker, FirstFrameIsFullyDamaged) {
-  DamageTracker tracker(32);
+TEST(DiffRects, FirstFrameIsFullyDamaged) {
+  // The first frame is diffed against an empty one.
   Image frame(100, 80, kBlack);
-  auto damage = tracker.update(frame);
-  EXPECT_EQ(total_area(damage), 100 * 80);
+  auto damage = diff_rects(Image(), frame, 32);
+  ASSERT_EQ(damage.size(), 1u);
+  EXPECT_EQ(damage[0], frame.bounds());
 }
 
-TEST(DamageTracker, UnchangedFrameReportsNothing) {
-  DamageTracker tracker(32);
+TEST(DiffRects, UnchangedFrameReportsNothing) {
   Image frame(100, 80, kBlack);
-  tracker.update(frame);
-  EXPECT_TRUE(tracker.update(frame).empty());
+  EXPECT_TRUE(diff_rects(frame, frame, 32).empty());
 }
 
-TEST(DamageTracker, SinglePixelChangeFoundWithinOneTile) {
-  DamageTracker tracker(32);
-  Image frame(128, 128, kBlack);
-  tracker.update(frame);
-  frame.set(70, 40, kWhite);
-  auto damage = tracker.update(frame);
+TEST(DiffRects, SinglePixelChangeFoundWithinOneTile) {
+  Image before(128, 128, kBlack);
+  Image after = before;
+  after.set(70, 40, kWhite);
+  auto damage = diff_rects(before, after, 32);
   ASSERT_FALSE(damage.empty());
   EXPECT_TRUE(covers(damage, {70, 40}));
   // Damage granularity is one tile.
   EXPECT_LE(total_area(damage), 32 * 32);
 }
 
-TEST(DamageTracker, DamageCoversAllChanges) {
-  DamageTracker tracker(16);
-  Image frame(200, 200, kBlack);
-  tracker.update(frame);
-  frame.fill_rect({10, 10, 50, 5}, kWhite);
-  frame.fill_rect({150, 180, 30, 10}, kWhite);
-  auto damage = tracker.update(frame);
+TEST(DiffRects, DamageCoversAllChanges) {
+  Image before(200, 200, kBlack);
+  Image after = before;
+  after.fill_rect({10, 10, 50, 5}, kWhite);
+  after.fill_rect({150, 180, 30, 10}, kWhite);
+  auto damage = diff_rects(before, after, 16);
   EXPECT_TRUE(covers(damage, {10, 10}));
   EXPECT_TRUE(covers(damage, {59, 14}));
   EXPECT_TRUE(covers(damage, {150, 180}));
   EXPECT_TRUE(covers(damage, {179, 189}));
 }
 
-TEST(DamageTracker, ResizeTriggersFullDamage) {
-  DamageTracker tracker(32);
-  tracker.update(Image(100, 100, kBlack));
-  auto damage = tracker.update(Image(200, 100, kBlack));
+TEST(DiffRects, ResizeTriggersFullDamage) {
+  auto damage = diff_rects(Image(100, 100, kBlack), Image(200, 100, kBlack), 32);
   EXPECT_EQ(total_area(damage), 200 * 100);
 }
 
-TEST(DamageTracker, ResetForcesFullDamage) {
-  DamageTracker tracker(32);
-  Image frame(64, 64, kBlack);
-  tracker.update(frame);
-  tracker.reset();
-  EXPECT_EQ(total_area(tracker.update(frame)), 64 * 64);
+TEST(DiffRects, ResizeReportsFullDamageNotDiff) {
+  // Same pixel content, different geometry: still full damage, and it is
+  // the new frame's bounds whether the frame grew or shrank.
+  Image a(100, 100, kBlack);
+  Image b(100, 120, kBlack);
+  auto grown = diff_rects(a, b, 16);
+  ASSERT_EQ(grown.size(), 1u);
+  EXPECT_EQ(grown[0], b.bounds());
+  auto shrunk = diff_rects(b, a, 16);
+  ASSERT_EQ(shrunk.size(), 1u);
+  EXPECT_EQ(shrunk[0], a.bounds());
 }
 
-TEST(DamageTracker, EdgeTilesClippedToFrame) {
+TEST(DiffRects, EdgeTilesClippedToFrame) {
   // 100 is not a multiple of 32; edge tiles must not extend past bounds.
-  DamageTracker tracker(32);
-  Image frame(100, 100, kBlack);
-  tracker.update(frame);
-  frame.set(99, 99, kWhite);
-  auto damage = tracker.update(frame);
+  Image before(100, 100, kBlack);
+  Image after = before;
+  after.set(99, 99, kWhite);
+  auto damage = diff_rects(before, after, 32);
   ASSERT_FALSE(damage.empty());
   for (const auto& r : damage) {
     EXPECT_LE(r.right(), 100);
@@ -106,77 +85,32 @@ TEST(DamageTracker, EdgeTilesClippedToFrame) {
   }
 }
 
-TEST(DamageTracker, AdjacentDirtyTilesMerge) {
-  DamageTracker tracker(32);
-  Image frame(128, 128, kBlack);
-  tracker.update(frame);
-  frame.fill_rect({0, 0, 128, 32}, kWhite);  // full top band: 4 tiles
-  auto damage = tracker.update(frame);
+TEST(DiffRects, AdjacentDirtyTilesMerge) {
+  Image before(128, 128, kBlack);
+  Image after = before;
+  after.fill_rect({0, 0, 128, 32}, kWhite);  // full top band: 4 tiles
+  auto damage = diff_rects(before, after, 32);
   ASSERT_EQ(damage.size(), 1u);
   EXPECT_EQ(damage[0], (Rect{0, 0, 128, 32}));
 }
 
-TEST(DamageTracker, UnchangedFrameAllocatesNothing) {
-  DamageTracker tracker(32);
-  Image frame(256, 192, kBlack);
-  tracker.update(frame);
-  tracker.update(frame);  // warm: return-value vector machinery settled
-
-  const std::uint64_t before = g_allocations.load();
-  const auto damage = tracker.update(frame);
-  const std::uint64_t after = g_allocations.load();
-  EXPECT_TRUE(damage.empty());
-  EXPECT_EQ(after - before, 0u) << "steady-state no-change update allocated";
-}
-
-TEST(DamageTracker, ShrinkingResizeReusesHashStorage) {
-  DamageTracker tracker(32);
-  tracker.update(Image(256, 256, kBlack));  // 8x8 hash grid
-
-  // Shrinking fits in the existing grid allocation: the resize fast path
-  // must rebuild hashes in place (assign) rather than reallocate.
-  Image smaller(128, 128, kWhite);
-  const std::uint64_t before = g_allocations.load();
-  const auto damage = tracker.update(smaller);
-  const std::uint64_t after = g_allocations.load();
-  ASSERT_EQ(damage.size(), 1u);
-  EXPECT_EQ(damage[0], smaller.bounds());
-  // Only the returned one-rect vector may allocate.
-  EXPECT_LE(after - before, 1u);
-
-  // And the rebuilt grid is immediately consistent: no phantom damage.
-  EXPECT_TRUE(tracker.update(smaller).empty());
-}
-
-TEST(DamageTracker, ResizeReportsFullDamageNotDiff) {
-  DamageTracker tracker(16);
-  Image a(100, 100, kBlack);
-  tracker.update(a);
-  // Same pixel content, different geometry: still full damage.
-  Image b(100, 120, kBlack);
-  auto damage = tracker.update(b);
-  ASSERT_EQ(damage.size(), 1u);
-  EXPECT_EQ(damage[0], b.bounds());
-}
-
-TEST(DamageTracker, EmptyFrameReportsNoDamage) {
-  DamageTracker tracker(32);
-  EXPECT_TRUE(tracker.update(Image()).empty());
+TEST(DiffRects, EmptyFrameReportsNoDamage) {
+  EXPECT_TRUE(diff_rects(Image(), Image(), 32).empty());
+  EXPECT_TRUE(diff_rects(Image(64, 64, kBlack), Image(), 32).empty());
 }
 
 class DamageTileSizes : public ::testing::TestWithParam<std::int64_t> {};
 
 TEST_P(DamageTileSizes, DetectsChangeAtAnyGranularity) {
-  DamageTracker tracker(GetParam());
-  Image frame(130, 70, kBlack);
-  tracker.update(frame);
-  frame.fill_rect({40, 30, 20, 10}, kWhite);
-  auto damage = tracker.update(frame);
+  Image before(130, 70, kBlack);
+  Image after = before;
+  after.fill_rect({40, 30, 20, 10}, kWhite);
+  auto damage = diff_rects(before, after, GetParam());
   EXPECT_TRUE(covers(damage, {40, 30}));
   EXPECT_TRUE(covers(damage, {59, 39}));
   // Everything reported must lie within bounds.
   for (const auto& r : damage) {
-    EXPECT_TRUE(frame.bounds().contains(r));
+    EXPECT_TRUE(after.bounds().contains(r));
   }
 }
 
